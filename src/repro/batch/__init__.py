@@ -30,7 +30,7 @@ Entry points:
   fixed populations onto the compiled block-stepping fast path,
   :class:`ShardRing` queueing samples zero-copy, and
   :class:`FleetRegrouper` re-coalescing churned fleets
-  (:mod:`repro.batch.compiled` documents the kernel backends).
+  (:mod:`repro.batch.compiled` holds the row-wise NumPy kernels).
 """
 
 from repro.batch.gpd import (BatchGlobalPhaseDetector, BatchGpdBank,

@@ -8,7 +8,7 @@ verifies), a shared ``(N, history_length)`` centroid-history matrix kept
 oldest-first, and per-row threshold columns.  Band statistics are
 computed by grouping rows on their exact history fill count — no padding
 — so every mean/std reduces through the same pairwise tree as the
-scalar ``CentroidHistory.band()`` (see :mod:`repro.batch.kernels`).
+scalar ``CentroidHistory.band()`` (see :mod:`repro.batch.compiled`).
 
 The fleet fast path is :meth:`BatchGpdBank.observe_block`: a pinned
 :class:`GpdRowGroup` (contiguous handles become slices) consumes a
@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.batch import compiled
 from repro.batch.indexing import as_slice
-from repro.batch.kernels import batched_band_stats, batched_centroid
 from repro.batch.tables import CompiledMachine, compile_machine
 from repro.core.centroid import BandOfStability
 from repro.core.gpd import GpdObservation
@@ -246,10 +245,10 @@ class BatchGpdBank:
         if buffers:
             lengths = {b.size for b in buffers}
             if len(lengths) == 1:
-                values[live] = batched_centroid(np.stack(buffers))
+                values[live] = compiled.centroid_rows(np.stack(buffers))
             else:
                 for position, buffer in zip(live, buffers):
-                    values[position] = batched_centroid(
+                    values[position] = compiled.centroid_rows(
                         buffer[np.newaxis, :])[0]
         starved = np.ones(len(items), dtype=bool)
         starved[live] = False
@@ -272,7 +271,7 @@ class BatchGpdBank:
                 f"sample block shape {block.shape} does not match "
                 f"group of {group.k} rows")
         starved = self._min_buffer[group.index] > block.shape[1]
-        values = batched_centroid(block)
+        values = compiled.centroid_rows(block)
         if starved.any():
             values = np.where(starved, np.nan, values)
         return self._advance_centroids(group.handles, group, values,
@@ -329,7 +328,8 @@ class BatchGpdBank:
             steady = history >= 2 and bool(np.all(fills == history))
             if steady:
                 # Steady state: every history full -> one dense view.
-                expectation, sd = batched_band_stats(self._hist[live_index])
+                expectation, sd = compiled.band_stats_rows(
+                    self._hist[live_index])
                 if live_positions is None:
                     expectations[:] = expectation
                     sds[:] = sd
@@ -344,7 +344,7 @@ class BatchGpdBank:
                 for fill in np.unique(fills[banded]):
                     sel = fills == fill
                     block = self._hist[live_handles[sel], :fill]
-                    expectation, sd = batched_band_stats(block)
+                    expectation, sd = compiled.band_stats_rows(block)
                     if live_positions is None:
                         expectations[sel] = expectation
                         sds[sel] = sd

@@ -13,12 +13,11 @@ Bit-equality design (enforced by ``tests/batch/``):
 
 * stable-set and current histograms are grouped by *exact* width — no
   padding — so row-wise reductions share the scalar's pairwise-summation
-  tree (see :mod:`repro.batch.kernels`);
+  tree (see :mod:`repro.batch.compiled`);
 * the state machine steps through integer tables compiled from
   :func:`~repro.core.states.lpd_machine_spec`, the same table the
   ``repro-check`` model checker proves equivalent to the imperative
-  detector; the fused classify-and-step runs in one compiled call
-  (:mod:`repro.batch.compiled`);
+  detector; the fused classify-and-step runs in one kernel call;
 * priming, starvation (``sum < min_interval_samples``) and the no-sample
   hold replicate the scalar control flow branch for branch.
 
@@ -45,7 +44,6 @@ import numpy as np
 
 from repro.batch import compiled
 from repro.batch.indexing import as_slice
-from repro.batch.kernels import batched_pearson_cached
 from repro.batch.tables import CompiledMachine, compile_machine
 from repro.core.histogram import RegionHistogram
 from repro.core.lpd import LpdObservation
@@ -355,17 +353,16 @@ class BatchLpdBank:
 
     # -- row groups ----------------------------------------------------------
 
-    def make_group(self, views: list, compact: bool = True) -> LpdRowGroup:
+    def make_group(self, views: list) -> LpdRowGroup:
         """Pin *views* (all one width) into a reusable row group.
 
-        With *compact* (the default), stable-set slots that are not
-        already contiguous are relocated into one fresh contiguous block
-        — O(group) once, after which every step gathers by slice.
-        Compaction bumps the store epoch, invalidating any *other*
-        group over relocated rows (stepping a stale group raises), so
-        callers that cache groups must rebuild them after building a
-        newer compacted group over the same width; see
-        :mod:`repro.batch.regroup`.
+        Stable-set slots that are not already contiguous are relocated
+        into one fresh contiguous block — O(group) once, after which
+        every step gathers by slice.  Compaction bumps the store epoch,
+        invalidating any *other* group over relocated rows (stepping a
+        stale group raises), so callers that cache groups must rebuild
+        them after building a newer compacted group over the same width;
+        see :mod:`repro.batch.regroup`.
         """
         k = len(views)
         handles = np.fromiter((view._handle for view in views),
@@ -384,7 +381,7 @@ class BatchLpdBank:
         slots = self._set_slot[handles].copy()
         index = as_slice(handles)
         slot_index = as_slice(slots)
-        if slot_index is None and compact:
+        if slot_index is None:
             first = store.alloc_block(k)
             dest = np.arange(first, first + k, dtype=np.int64)
             store.rows[dest] = store.rows[slots]
@@ -399,9 +396,7 @@ class BatchLpdBank:
             slot_index = slice(first, first + k)
         return LpdRowGroup(width, handles,
                            index if index is not None else handles,
-                           slots,
-                           slot_index if slot_index is not None else slots,
-                           store)
+                           slots, slot_index, store)
 
     def telemetry_live(self) -> bool:
         """Whether any bus attached to this bank is currently enabled."""
@@ -476,40 +471,6 @@ class BatchLpdBank:
         self._finish_step(handles, indices, active_mask, primed, stepped,
                           results, event_positions, telemetry_live)
         return results
-
-    def observe_rows(self, views: list, counts_block: np.ndarray,
-                     interval_index: int) -> list[PhaseEvent | None]:
-        """Advance a fixed same-width population from one dense block.
-
-        Equivalent to ``observe_many([(view, row, interval_index), ...])``
-        — same kernels, same starvation holds, bit-identical state —
-        minus the per-item Python.  For a population stepped every
-        interval, build the group once with :meth:`make_group` and call
-        :meth:`observe_grouped` instead; this door rebuilds it per call.
-        """
-        k = len(views)
-        counts_block = np.ascontiguousarray(counts_block, dtype=np.float64)
-        if counts_block.shape[0] != k:
-            raise ValueError(
-                f"counts block has {counts_block.shape[0]} rows for "
-                f"{k} views")
-        if k == 0:
-            self._finish_step(np.zeros(0, dtype=np.int64),
-                              np.zeros(0, dtype=np.int64),
-                              np.zeros(0, dtype=bool), [], {}, [], [],
-                              self.telemetry_live())
-            return []
-        width = counts_block.shape[1]
-        widths = self._width[
-            np.fromiter((view._handle for view in views),
-                        dtype=np.int64, count=k)]
-        if not np.all(widths == width):
-            expected = int(widths[widths != width][0])
-            raise ValueError(
-                f"histogram has {width} slots, detector expects "
-                f"{expected}")
-        group = self.make_group(views, compact=False)
-        return self.observe_grouped(group, counts_block, interval_index)
 
     def observe_grouped(self, group: LpdRowGroup, counts_block: np.ndarray,
                         interval_index: int) -> list[PhaseEvent | None]:
@@ -642,7 +603,7 @@ class BatchLpdBank:
             store.sum1[stale_slots] = stale_rows.sum(axis=1)
             store.sum2[stale_slots] = (stale_rows * stale_rows).sum(axis=1)
             store.fresh[stale_slots] = True
-        r, sum_y, sum_y2 = batched_pearson_cached(
+        r, sum_y, sum_y2 = compiled.pearson_cached(
             stable_rows, counts, store.sum1[slot_index],
             store.sum2[slot_index])
         if self._has_custom:

@@ -194,7 +194,7 @@ class FleetRegrouper:
                 position += 1
         groups = []
         for width, (views, positions, sources) in by_width.items():
-            group = bank.make_group(views, compact=True)
+            group = bank.make_group(views)
             groups.append(_PlanGroup(
                 group=group,
                 scratch=np.zeros((group.k, width), dtype=np.float64),

@@ -57,7 +57,7 @@ from pathlib import Path
 from repro.checks.findings import Finding, Severity
 
 __all__ = ["audit_cache_keys", "audit_base_helpers", "audit_key_classes",
-           "audit_fault_tokens", "audit_cpd_tokens", "audit_trace_tokens",
+           "audit_fault_tokens", "audit_token_discipline",
            "audit_snapshot_fields", "RESULT_INERT_PARAMS"]
 
 #: Helper parameters exempt from ``cache-key-field``: knobs that
@@ -67,13 +67,7 @@ __all__ = ["audit_cache_keys", "audit_base_helpers", "audit_key_classes",
 #: ``telemetry``
 #:     Observability plumbing; the bus carries events *out* of a run
 #:     and nothing reads it back (write-only).
-#: ``kernel_backend``
-#:     Which compiled-kernel implementation steps the batch hot path
-#:     (``repro.batch.compiled``).  Selection is bit-inert by contract:
-#:     the Numba backend is only ever chosen after an import-time probe
-#:     shows it bitwise identical to the NumPy reference, so keying on
-#:     it would fragment the cache across identical artifacts.
-RESULT_INERT_PARAMS = frozenset({"telemetry", "kernel_backend"})
+RESULT_INERT_PARAMS = frozenset({"telemetry"})
 
 
 def _parse(path: Path) -> ast.Module | None:
@@ -93,6 +87,22 @@ def _dataclass_fields(cls: ast.ClassDef) -> list[str]:
 
 def _names_in(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _unmentioned_fields(cls: ast.ClassDef,
+                        token_def: ast.FunctionDef) -> list[str]:
+    """Dataclass fields of *cls* that its ``token()`` never names.
+
+    A field counts as mentioned when it appears as an attribute
+    (``self.window``) or as a string constant (``getattr(self, "seed")``).
+    """
+    mentioned = {n.attr for n in ast.walk(token_def)
+                 if isinstance(n, ast.Attribute)}
+    mentioned |= {n.value for n in ast.walk(token_def)
+                  if isinstance(n, ast.Constant)
+                  and isinstance(n.value, str)}
+    return [name for name in _dataclass_fields(cls)
+            if name not in mentioned]
 
 
 def _config_attrs_in(node: ast.AST, config_names: set[str]) -> set[str]:
@@ -254,114 +264,63 @@ def audit_fault_tokens(model_path: Path, rel: str) -> list[Finding]:
                           and stmt.name == "token"), None)
         if token_def is None:
             continue  # inherited token() enumerates fields(self): safe
-        mentioned = {n.attr for n in ast.walk(token_def)
-                     if isinstance(n, ast.Attribute)}
-        mentioned |= {n.value for n in ast.walk(token_def)
-                      if isinstance(n, ast.Constant)
-                      and isinstance(n.value, str)}
-        for field_name in _dataclass_fields(cls):
-            if field_name not in mentioned:
-                findings.append(Finding(
-                    rule="fault-token-incomplete", severity=Severity.ERROR,
-                    path=rel, line=token_def.lineno,
-                    message=f"{cls.name}.token() omits field "
-                            f"'{field_name}': two specs differing only in "
-                            f"{field_name} would share a cache key"))
+        for field_name in _unmentioned_fields(cls, token_def):
+            findings.append(Finding(
+                rule="fault-token-incomplete", severity=Severity.ERROR,
+                path=rel, line=token_def.lineno,
+                message=f"{cls.name}.token() omits field "
+                        f"'{field_name}': two specs differing only in "
+                        f"{field_name} would share a cache key"))
     return findings
 
 
-def audit_cpd_tokens(config_path: Path, rel: str) -> list[Finding]:
-    """Check CPD threshold dataclasses keep the ``token()`` discipline.
+#: Token-discipline rules: rule id -> (module under ``src/repro``,
+#: class-name suffix the rule covers, what two instances of such a
+#: class are called in the finding message).
+_TOKEN_RULES: dict[str, tuple[str, str, str]] = {
+    "cpd-token-incomplete": ("cpd/config.py", "Thresholds",
+                             "configurations"),
+    "trace-token-incomplete": ("ingest/identity.py", "Identity", "replays"),
+}
 
-    Any ``*Thresholds`` class in the CPD config module must define a
-    ``token()``; one that enumerates ``fields(self)`` is safe by
-    construction, otherwise every dataclass field must be mentioned —
-    the same rule :func:`audit_fault_tokens` applies to fault specs.
+
+def audit_token_discipline(path: Path, rel: str, rule: str) -> list[Finding]:
+    """Check the ``token()`` discipline of one :data:`_TOKEN_RULES` entry.
+
+    Every class in *path* whose name ends in the rule's suffix must
+    define a ``token()`` that either enumerates ``fields(self)`` (safe
+    by construction, the shipped idiom) or mentions every dataclass
+    field — the rule :func:`audit_fault_tokens` applies to fault specs.
     """
+    _, suffix, subject = _TOKEN_RULES[rule]
     findings: list[Finding] = []
-    tree = _parse(config_path)
+    tree = _parse(path)
     if tree is None:
         return findings
 
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef) \
-                or not cls.name.endswith("Thresholds"):
+                or not cls.name.endswith(suffix):
             continue
         token_def = next((stmt for stmt in cls.body
                           if isinstance(stmt, ast.FunctionDef)
                           and stmt.name == "token"), None)
         if token_def is None:
             findings.append(Finding(
-                rule="cpd-token-incomplete", severity=Severity.ERROR,
-                path=rel, line=cls.lineno,
-                message=f"{cls.name} defines no token(): its "
-                        f"configurations cannot discriminate cache keys "
-                        f"or hunt-report parameters"))
+                rule=rule, severity=Severity.ERROR, path=rel,
+                line=cls.lineno,
+                message=f"{cls.name} defines no token(): its {subject} "
+                        f"cannot discriminate cache keys"))
             continue
         if "fields" in _names_in(token_def):
             continue  # enumerates fields(self): safe by construction
-        mentioned = {n.attr for n in ast.walk(token_def)
-                     if isinstance(n, ast.Attribute)}
-        mentioned |= {n.value for n in ast.walk(token_def)
-                      if isinstance(n, ast.Constant)
-                      and isinstance(n.value, str)}
-        for field_name in _dataclass_fields(cls):
-            if field_name not in mentioned:
-                findings.append(Finding(
-                    rule="cpd-token-incomplete", severity=Severity.ERROR,
-                    path=rel, line=token_def.lineno,
-                    message=f"{cls.name}.token() omits field "
-                            f"'{field_name}': two configurations "
-                            f"differing only in {field_name} would share "
-                            f"a cache token"))
-    return findings
-
-
-def audit_trace_tokens(identity_path: Path, rel: str) -> list[Finding]:
-    """Check trace identity dataclasses keep the ``token()`` discipline.
-
-    Any ``*Identity`` class in the ingest identity module must define a
-    ``token()``; one that enumerates ``fields(self)`` is safe by
-    construction, otherwise every dataclass field must be mentioned —
-    the token is the ``trace`` discriminator of experiment cache keys
-    (:func:`repro.experiments.base.trace_stream_for`), so an omitted
-    replay knob is exactly the stale-artifact bug class
-    ``cache-key-field`` guards against, one layer down.
-    """
-    findings: list[Finding] = []
-    tree = _parse(identity_path)
-    if tree is None:
-        return findings
-
-    for cls in tree.body:
-        if not isinstance(cls, ast.ClassDef) \
-                or not cls.name.endswith("Identity"):
-            continue
-        token_def = next((stmt for stmt in cls.body
-                          if isinstance(stmt, ast.FunctionDef)
-                          and stmt.name == "token"), None)
-        if token_def is None:
+        for field_name in _unmentioned_fields(cls, token_def):
             findings.append(Finding(
-                rule="trace-token-incomplete", severity=Severity.ERROR,
-                path=rel, line=cls.lineno,
-                message=f"{cls.name} defines no token(): recorded-trace "
-                        f"replays cannot discriminate cache keys"))
-            continue
-        if "fields" in _names_in(token_def):
-            continue  # enumerates fields(self): safe by construction
-        mentioned = {n.attr for n in ast.walk(token_def)
-                     if isinstance(n, ast.Attribute)}
-        mentioned |= {n.value for n in ast.walk(token_def)
-                      if isinstance(n, ast.Constant)
-                      and isinstance(n.value, str)}
-        for field_name in _dataclass_fields(cls):
-            if field_name not in mentioned:
-                findings.append(Finding(
-                    rule="trace-token-incomplete", severity=Severity.ERROR,
-                    path=rel, line=token_def.lineno,
-                    message=f"{cls.name}.token() omits field "
-                            f"'{field_name}': two replays differing only "
-                            f"in {field_name} would share a cache key"))
+                rule=rule, severity=Severity.ERROR, path=rel,
+                line=token_def.lineno,
+                message=f"{cls.name}.token() omits field "
+                        f"'{field_name}': two {subject} differing only "
+                        f"in {field_name} would share a cache key"))
     return findings
 
 
@@ -437,10 +396,9 @@ def audit_cache_keys(repo_root: Path) -> list[Finding]:
         src / "faults" / "model.py", "src/repro/faults/model.py")
     findings += audit_fault_tokens(
         src / "faults" / "service.py", "src/repro/faults/service.py")
-    findings += audit_cpd_tokens(
-        src / "cpd" / "config.py", "src/repro/cpd/config.py")
-    findings += audit_trace_tokens(
-        src / "ingest" / "identity.py", "src/repro/ingest/identity.py")
+    for rule, (module, _, _) in _TOKEN_RULES.items():
+        findings += audit_token_discipline(
+            src / module, f"src/repro/{module}", rule)
     findings += audit_snapshot_fields(
         src / "serve" / "snapshot.py", "src/repro/serve/snapshot.py")
     return findings

@@ -1,6 +1,6 @@
 """Pass registry and repo-level driver for ``repro-check``.
 
-Six pass families run by default:
+Five pass families run by default:
 
 * the per-file determinism lint (:mod:`repro.checks.determinism`) over
   every ``.py`` file under the scanned paths;
@@ -12,14 +12,12 @@ Six pass families run by default:
   fleet-serving delivery discipline, including small-scope schedule
   exploration against the real ``ShardWorker``;
 * the concurrency/IPC lint (:mod:`repro.checks.concurrency`) over the
-  ``serve`` and ``telemetry`` packages;
-* the kernel-twin contract audit (:mod:`repro.checks.twins`) over
-  ``batch/compiled/``.
+  ``serve`` and ``telemetry`` packages.
 
 Rules are grouped into families (``repro-check --rules protocol``
 enables a whole family; individual rule ids still work).  A ``--rules``
 filter also *skips* passes that cannot produce any requested rule, so
-``--rules twins`` does not pay for schedule exploration.
+``--rules cachekeys`` does not pay for schedule exploration.
 
 Inline ``# repro: allow[rule]`` suppressions are applied to every
 file-anchored finding; suppressions that never fire are reported
@@ -41,7 +39,6 @@ from repro.checks.findings import Finding, sort_findings
 from repro.checks.protocol import run_protocol_checker
 from repro.checks.statemachine import run_model_checker
 from repro.checks.suppress import SuppressionIndex
-from repro.checks.twins import audit_twins
 
 __all__ = ["ALL_RULES", "RULE_FAMILIES", "DEFAULT_PATHS", "CheckReport",
            "expand_rules", "run_checks"]
@@ -78,12 +75,6 @@ ALL_RULES: dict[str, str] = {
     "message-schema-drift": "message dataclasses out of sync with MESSAGE_SCHEMA",
     "signal-handler-blocking": "blocking call inside a signal handler",
     "unreaped-worker": "process spawner without a join+terminate ladder",
-    "twin-missing": "kernel present in only one backend",
-    "twin-signature-mismatch": "JIT and reference twins disagree on parameters",
-    "twin-export-gap": "kernel absent from the backend selection block",
-    "twin-probe-gap": "kernel not covered by the import-time probe",
-    "twin-dtype-implicit": "kernel allocation without an explicit dtype",
-    "twin-accumulation-order": "sequential loop reduction in a JIT kernel",
 }
 
 #: Family name -> rule ids; ``--rules <family>`` enables all of them.
@@ -107,10 +98,6 @@ RULE_FAMILIES: dict[str, frozenset[str]] = {
         "fork-unsafe-global", "queue-no-timeout",
         "message-field-unpicklable", "message-schema-drift",
         "signal-handler-blocking", "unreaped-worker"}),
-    "twins": frozenset({
-        "twin-missing", "twin-signature-mismatch", "twin-export-gap",
-        "twin-probe-gap", "twin-dtype-implicit",
-        "twin-accumulation-order"}),
 }
 
 #: Directories scanned by default, relative to the repo root.
@@ -201,8 +188,6 @@ def run_checks(root: Path, paths: tuple[str, ...] = DEFAULT_PATHS,
 
     if wants("cachekeys"):
         findings.extend(audit_cache_keys(root))
-    if wants("twins"):
-        findings.extend(audit_twins(root))
     if model_checker and wants("statemachine"):
         findings.extend(run_model_checker())
     if model_checker and wants("protocol"):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.kernels import (batched_band_stats, batched_centroid,
-                                 batched_pearson)
+from repro.batch.compiled import (band_stats_rows, centroid_rows,
+                                  pearson_cached)
 from repro.batch.tables import compile_machine
 from repro.core.centroid import CentroidHistory, centroid
 from repro.core.correlation import pearson_r
@@ -22,6 +22,13 @@ from repro.core.states import (MachineSpec, TransitionRule,
 from repro.errors import ConfigError
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+def cached_r(stable, current):
+    """``pearson_cached`` fed the stable-side sums the LPD bank caches."""
+    r, _, _ = pearson_cached(stable, current, stable.sum(axis=1),
+                             (stable * stable).sum(axis=1))
+    return r
 
 
 class TestBatchedPearson:
@@ -37,7 +44,7 @@ class TestBatchedPearson:
         if rows >= 2:
             stable[0] = 3.0
             current[-1] = 0.0
-        batched = batched_pearson(stable, current)
+        batched = cached_r(stable, current)
         for i in range(rows):
             scalar = pearson_r(stable[i], current[i])
             assert batched[i] == scalar, (i, stable[i], current[i])
@@ -45,18 +52,18 @@ class TestBatchedPearson:
     def test_both_flat_resolves_to_one(self):
         stable = np.full((3, 5), 2.0)
         current = np.full((3, 5), 7.0)
-        assert batched_pearson(stable, current).tolist() == [1.0, 1.0, 1.0]
+        assert cached_r(stable, current).tolist() == [1.0, 1.0, 1.0]
 
     def test_one_flat_resolves_to_zero(self):
         stable = np.full((1, 5), 2.0)
         current = np.arange(5, dtype=np.float64).reshape(1, 5)
-        assert batched_pearson(stable, current).tolist() == [0.0]
+        assert cached_r(stable, current).tolist() == [0.0]
         assert pearson_r(stable[0], current[0]) == 0.0
 
     def test_width_one_uses_degenerate_path(self):
         stable = np.array([[4.0], [1.0]])
         current = np.array([[4.0], [2.0]])
-        batched = batched_pearson(stable, current)
+        batched = cached_r(stable, current)
         for i in range(2):
             assert batched[i] == pearson_r(stable[i], current[i])
 
@@ -66,15 +73,31 @@ class TestBatchedPearson:
         base = 1.0e6
         stable = np.array([[base, base * (1 + 1e-6), base]])
         current = np.array([[base, base, base]])
-        assert batched_pearson(stable, current)[0] \
+        assert cached_r(stable, current)[0] \
             == pearson_r(stable[0], current[0])
 
     def test_nonfinite_rows_fall_back_to_scalar(self):
         stable = np.array([[1.0, np.inf, 2.0], [1.0, 2.0, 3.0]])
         current = np.array([[1.0, 1.0, 1.0], [3.0, 2.0, 1.0]])
-        batched = batched_pearson(stable, current)
+        batched = cached_r(stable, current)
         for i in range(2):
             assert batched[i] == pearson_r(stable[i], current[i])
+
+    def test_current_side_sums_are_bitwise_reductions(self):
+        # The bank refreshes its stable-sum cache from these when the
+        # current interval replaces a stable set, so they must be the
+        # bits a fresh reduction of the row would produce.
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 8, 64, 504):
+            x = np.floor(rng.uniform(0.0, 50.0, size=(5, n)))
+            y = np.floor(rng.uniform(0.0, 50.0, size=(5, n)))
+            x[0, :] = 7.0  # one degenerate row
+            r, sum_y, sum_y2 = pearson_cached(
+                x, y, x.sum(axis=1), (x * x).sum(axis=1))
+            for i in range(5):
+                assert r[i] == pearson_r(x[i], y[i])
+            assert sum_y.tobytes() == y.sum(axis=1).tobytes()
+            assert sum_y2.tobytes() == (y * y).sum(axis=1).tobytes()
 
 
 class TestBatchedCentroid:
@@ -85,7 +108,7 @@ class TestBatchedCentroid:
     def test_matches_scalar_bitwise(self, seed, width, rows):
         rng = np.random.default_rng(seed)
         pcs = rng.integers(0, 2**40, size=(rows, width))
-        batched = batched_centroid(pcs)
+        batched = centroid_rows(pcs)
         for i in range(rows):
             assert batched[i] == centroid(pcs[i])
 
@@ -98,7 +121,7 @@ class TestBatchedBandStats:
     def test_matches_centroid_history_band(self, seed, fill, rows):
         rng = np.random.default_rng(seed)
         values = rng.uniform(1.0, 1e9, size=(rows, fill))
-        expectation, sd = batched_band_stats(values)
+        expectation, sd = band_stats_rows(values)
         for i in range(rows):
             history = CentroidHistory(length=fill)
             history.extend(values[i])

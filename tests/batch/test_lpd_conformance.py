@@ -140,7 +140,7 @@ class TestBankConformance:
                 == views[0].observe(histogram, interval)
         assert_rows_identical(scalars[0], views[0])
 
-    def test_observe_rows_bit_identical_to_scalar(self):
+    def test_grouped_path_bit_identical_to_scalar(self):
         # The dense fleet fast path must honor every hold the scalar
         # has: zero rows, starved rows, priming, stepping.
         rng = np.random.default_rng(5)
@@ -155,13 +155,14 @@ class TestBankConformance:
                    for i in range(12)]
         views = [bank.add_detector(n_instructions=width, telemetry=bus_b,
                                    region_id=i) for i in range(12)]
+        group = bank.make_group(views)
         for interval in range(40):
             block = rng.integers(0, 40, size=(12, width)).astype(float)
             block[interval % 12] = 0.0           # zero-sum hold
             block[(interval + 1) % 12] = 0.1     # starved hold
             scalar_events = [scalars[i].observe(block[i], interval)
                              for i in range(12)]
-            batch_events = bank.observe_rows(views, block, interval)
+            batch_events = bank.observe_grouped(group, block, interval)
             assert scalar_events == batch_events
         for scalar, view in zip(scalars, views):
             assert_rows_identical(scalar, view)
@@ -169,17 +170,18 @@ class TestBankConformance:
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
-    def test_observe_rows_matches_observe_many(self, seed):
+    def test_grouped_path_matches_observe_many(self, seed):
         rng = np.random.default_rng(seed)
         width = 9
         bank_a, bank_b = BatchLpdBank(), BatchLpdBank()
         views_a = [bank_a.add_detector(width) for _ in range(6)]
         views_b = [bank_b.add_detector(width) for _ in range(6)]
+        group = bank_b.make_group(views_b)
         for interval in range(25):
             block = rng.integers(0, 30, size=(6, width)).astype(float)
             events_a = bank_a.observe_many(
                 [(views_a[i], block[i], interval) for i in range(6)])
-            events_b = bank_b.observe_rows(views_b, block, interval)
+            events_b = bank_b.observe_grouped(group, block, interval)
             assert events_a == events_b
         for a, b in zip(views_a, views_b):
             assert a.state == b.state
@@ -187,16 +189,17 @@ class TestBankConformance:
             assert a.stable_intervals == b.stable_intervals
             assert a.stable_set().tobytes() == b.stable_set().tobytes()
 
-    def test_observe_rows_validation(self):
+    def test_observe_grouped_validation(self):
         import pytest
 
         bank = BatchLpdBank()
-        views = [bank.add_detector(4) for _ in range(2)]
-        with pytest.raises(ValueError, match="slots"):
-            bank.observe_rows(views, np.ones((2, 5)), 0)
-        with pytest.raises(ValueError, match="rows"):
-            bank.observe_rows(views, np.ones((3, 4)), 0)
-        assert bank.observe_rows([], np.empty((0, 0)), 0) == []
+        group = bank.make_group([bank.add_detector(4) for _ in range(2)])
+        with pytest.raises(ValueError, match="does not match"):
+            bank.observe_grouped(group, np.ones((2, 5)), 0)
+        with pytest.raises(ValueError, match="does not match"):
+            bank.observe_grouped(group, np.ones((3, 4)), 0)
+        empty = bank.make_group([])
+        assert bank.observe_grouped(empty, np.empty((0, 0)), 0) == []
 
     def test_custom_measure_routes_through_scalar_path(self):
         from repro.core.similarity import CosineSimilarity

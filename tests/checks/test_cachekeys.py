@@ -84,20 +84,6 @@ class TestBaseHelperAudit:
         """)
         assert audit_base_helpers(path, "base.py", self.KEYS) == []
 
-    def test_kernel_backend_param_is_exempt(self, tmp_path):
-        # ``kernel_backend`` picks between compiled kernel
-        # implementations that the import-time probe proved bitwise
-        # identical (repro.batch.compiled) — result-inert by contract,
-        # so keying on it would only fragment the cache.
-        path = write(tmp_path, "base.py", """
-            def stream_for(model, period, config, kernel_backend="numpy"):
-                key = StreamKey(benchmark=model.name, scale=config.scale,
-                                period=period, seed=config.seed)
-                return CACHE.stream(
-                    key, lambda: simulate(config.seed, kernel_backend))
-        """)
-        assert audit_base_helpers(path, "base.py", self.KEYS) == []
-
     def test_allowlist_does_not_leak_to_other_params(self, tmp_path):
         # The exemption is by exact name: an unkeyed parameter sitting
         # next to ``telemetry`` is still flagged.
@@ -339,12 +325,9 @@ class TestSnapshotFieldAudit:
 def test_allowlist_stays_minimal():
     """Growing the exemption list must be a deliberate, reviewed act.
 
-    ``telemetry`` is write-only observability plumbing;
-    ``kernel_backend`` selects between bit-identical compiled kernel
-    implementations (see ``test_kernel_backend_param_is_exempt`` for
-    the contract that justifies it).
+    ``telemetry`` is write-only observability plumbing.
     """
-    assert RESULT_INERT_PARAMS == {"telemetry", "kernel_backend"}
+    assert RESULT_INERT_PARAMS == {"telemetry"}
 
 
 def test_repo_cache_keys_audit_clean():

@@ -79,10 +79,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "unseeded-rng" in out and "fsm-divergence" in out
         # Rules are grouped under their family headers.
-        for family in ("determinism", "protocol", "concurrency", "twins"):
+        for family in ("determinism", "protocol", "concurrency",
+                       "cachekeys"):
             assert f"[{family}]" in out
         assert "protocol-invariant" in out
-        assert "twin-missing" in out
+        assert "snapshot-field-drift" in out
 
     def test_family_name_selects_all_its_rules(self, tmp_path):
         root = make_project(tmp_path)  # DIRTY carries wall-clock
@@ -90,12 +91,12 @@ class TestCli:
                      "--rules", "determinism", "src"]) == 1
         # ...and a family with no findings in this tree passes.
         assert main(["--root", str(root), "--no-model-checker",
-                     "--rules", "twins", "src"]) == 0
+                     "--rules", "cachekeys", "src"]) == 0
 
     def test_family_and_rule_names_mix(self, tmp_path):
         root = make_project(tmp_path)
         assert main(["--root", str(root), "--no-model-checker",
-                     "--rules", "twins,wall-clock", "src"]) == 1
+                     "--rules", "cachekeys,wall-clock", "src"]) == 1
 
     def test_bad_root_is_config_error(self, tmp_path):
         assert main(["--root", str(tmp_path / "absent")]) == 2
@@ -144,13 +145,13 @@ class TestFilteredSuppressionAudit:
         assert [f.rule for f in unrestricted] == ["unused-suppression"]
 
     def test_serve_and_compiled_suppressions_are_live(self):
-        # Every allow in the serving and compiled layers must still
-        # suppress a real finding (the audit covers those paths too).
+        # Every allow in the serving, telemetry and batch layers must
+        # still suppress a real finding (the audit covers those paths).
         findings = run_checks(REPO_ROOT)
         assert not [f for f in findings
                     if f.rule == "unused-suppression"
                     and ("serve/" in f.path or "telemetry/" in f.path
-                         or "compiled/" in f.path)]
+                         or "batch/" in f.path)]
 
 
 class TestBaseline:

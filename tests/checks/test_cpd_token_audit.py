@@ -3,11 +3,16 @@
 import textwrap
 from pathlib import Path
 
-from repro.checks.cachekeys import audit_cache_keys, audit_cpd_tokens
+from repro.checks.cachekeys import (audit_cache_keys,
+                                    audit_token_discipline)
 from repro.checks.determinism import lint_source
 from repro.checks.registry import ALL_RULES, RULE_FAMILIES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def audit(path):
+    return audit_token_discipline(path, "config.py", "cpd-token-incomplete")
 
 
 def write(tmp_path, name, source):
@@ -42,7 +47,7 @@ class TestMutations:
                         (f.name, getattr(self, f.name))
                         for f in fields(self))
         """)
-        assert audit_cpd_tokens(path, "config.py") == []
+        assert audit(path) == []
 
     def test_missing_token_method_is_flagged(self, tmp_path):
         path = write(tmp_path, "config.py", """
@@ -53,7 +58,7 @@ class TestMutations:
                 window: int = 32
                 seed: int = 7
         """)
-        findings = audit_cpd_tokens(path, "config.py")
+        findings = audit(path)
         assert len(findings) == 1
         assert findings[0].rule == "cpd-token-incomplete"
         assert "defines no token()" in findings[0].message
@@ -70,7 +75,7 @@ class TestMutations:
                 def token(self):
                     return ("cpd", self.window)
         """)
-        findings = audit_cpd_tokens(path, "config.py")
+        findings = audit(path)
         assert len(findings) == 1
         assert "omits field 'seed'" in findings[0].message
 
@@ -86,7 +91,7 @@ class TestMutations:
                 def token(self):
                     return ("cpd", self.window, self.seed)
         """)
-        assert audit_cpd_tokens(path, "config.py") == []
+        assert audit(path) == []
 
     def test_non_thresholds_classes_are_ignored(self, tmp_path):
         path = write(tmp_path, "config.py", """
@@ -96,11 +101,11 @@ class TestMutations:
             class Observation:
                 index: int = 0
         """)
-        assert audit_cpd_tokens(path, "config.py") == []
+        assert audit(path) == []
 
     def test_unparseable_module_yields_nothing(self, tmp_path):
         path = write(tmp_path, "config.py", "def broken(:")
-        assert audit_cpd_tokens(path, "config.py") == []
+        assert audit(path) == []
 
 
 class TestDeterminismPerimeter:

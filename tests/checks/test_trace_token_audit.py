@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.checks.cachekeys import audit_cache_keys, audit_trace_tokens
+from repro.checks.cachekeys import (audit_cache_keys,
+                                    audit_token_discipline)
 from repro.checks.registry import ALL_RULES, RULE_FAMILIES
 from repro.experiments.base import trace_gpd_run, trace_stream_for
 from repro.experiments.cache import GLOBAL_CACHE, GpdKey, MonitorKey, StreamKey
@@ -23,6 +24,10 @@ from repro.ingest import load_profile
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CORPUS = REPO_ROOT / "tests" / "fixtures" / "traces" / "realtrace"
+
+
+def audit(path):
+    return audit_token_discipline(path, "identity.py", "trace-token-incomplete")
 
 
 def write(tmp_path, name, source):
@@ -64,7 +69,7 @@ class TestMutations:
                         (f.name, getattr(self, f.name))
                         for f in fields(self))
         """)
-        assert audit_trace_tokens(path, "identity.py") == []
+        assert audit(path) == []
 
     def test_missing_token_method_is_flagged(self, tmp_path):
         path = write(tmp_path, "identity.py", """
@@ -75,7 +80,7 @@ class TestMutations:
                 name: str = ""
                 checksum: str = ""
         """)
-        findings = audit_trace_tokens(path, "identity.py")
+        findings = audit(path)
         assert len(findings) == 1
         assert findings[0].rule == "trace-token-incomplete"
         assert "defines no token()" in findings[0].message
@@ -95,7 +100,7 @@ class TestMutations:
                 def token(self):
                     return ("trace", self.name, self.checksum)
         """)
-        findings = audit_trace_tokens(path, "identity.py")
+        findings = audit(path)
         assert len(findings) == 1
         assert "omits field 'cycles_per_ns'" in findings[0].message
 
@@ -111,7 +116,7 @@ class TestMutations:
                 def token(self):
                     return ("trace", self.name, self.checksum)
         """)
-        assert audit_trace_tokens(path, "identity.py") == []
+        assert audit(path) == []
 
     def test_non_identity_classes_are_ignored(self, tmp_path):
         path = write(tmp_path, "identity.py", """
@@ -121,11 +126,11 @@ class TestMutations:
             class Observation:
                 index: int = 0
         """)
-        assert audit_trace_tokens(path, "identity.py") == []
+        assert audit(path) == []
 
     def test_unparseable_module_yields_nothing(self, tmp_path):
         path = write(tmp_path, "identity.py", "def broken(:")
-        assert audit_trace_tokens(path, "identity.py") == []
+        assert audit(path) == []
 
 
 @pytest.fixture()

@@ -4,9 +4,7 @@ A 256-stream sharded run with two injected worker crashes (one of them
 before its ack escapes), a torn snapshot write, and delivery-layer chaos
 must produce, for every stream, an event sequence bit-identical to one
 clean in-process :class:`~repro.batch.session.BatchSession` fed the same
-batches.  CI runs this module under both kernel backends
-(``REPRO_NO_JIT`` matrix), so recovery is proven on Numba and NumPy
-alike.
+batches.
 """
 
 import numpy as np
