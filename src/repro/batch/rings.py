@@ -19,6 +19,13 @@ must copy.  Writes may wrap (they split), and a push that outgrows the
 ring re-linearizes every lane's unread samples to column zero, doubling
 the capacity — amortized O(1) per sample, like the list-of-arrays queue
 this replaces, but without the per-interval ``np.concatenate``.
+
+Lane rows double the same way: :meth:`add_lane` reallocates only when
+the matrix has no spare row left, so admitting n lanes copies the ring
+O(log n) times rather than once per lane.  :attr:`n_lanes` is therefore
+the live lane count, while ``data`` may hold spare rows past it; spare
+rows stay empty, and a snapshot (:meth:`__getstate__`) carries the live
+lanes only.
 """
 
 from __future__ import annotations
@@ -47,13 +54,45 @@ class ShardRing:
                 f"{capacity_intervals}")
         self.interval_size = interval_size
         self.capacity = interval_size * capacity_intervals
+        self._n_lanes = n_lanes
         self.data = np.zeros((n_lanes, self.capacity), dtype=np.int64)
         self._read = np.zeros(n_lanes, dtype=np.int64)
         self._fill = np.zeros(n_lanes, dtype=np.int64)
 
     @property
     def n_lanes(self) -> int:
-        return self.data.shape[0]
+        """Live lanes; ``data`` may hold spare rows past them."""
+        return self._n_lanes
+
+    def _unread(self, lane: int) -> tuple[np.ndarray, np.ndarray]:
+        """*lane*'s unread samples in queue order, as two views of ``data``.
+
+        The second view is empty unless the run wraps past the last
+        column.
+        """
+        fill = int(self._fill[lane])
+        read = int(self._read[lane])
+        first = min(fill, self.capacity - read)
+        return (self.data[lane, read:read + first],
+                self.data[lane, :fill - first])
+
+    def _reallocate(self, rows: int, capacity: int) -> None:
+        """Re-linearize every live lane to column 0 of a new matrix.
+
+        The new ``(rows, capacity)`` matrix serves both growths: more
+        columns (:meth:`push`) and more lane rows (:meth:`add_lane`).
+        Rows past the live lanes are spare and stay empty.
+        """
+        data = np.zeros((rows, capacity), dtype=np.int64)
+        fill = np.zeros(rows, dtype=np.int64)
+        for lane in range(self._n_lanes):
+            n = int(self._fill[lane])
+            np.concatenate(self._unread(lane), out=data[lane, :n])
+            fill[lane] = n
+        self.data = data
+        self.capacity = capacity
+        self._read = np.zeros(rows, dtype=np.int64)
+        self._fill = fill
 
     # -- pickling ------------------------------------------------------------
 
@@ -61,23 +100,16 @@ class ShardRing:
         """Serialize only logical state: per-lane unread samples.
 
         The preallocated matrix is scratch capacity — freed columns hold
-        stale samples that are never read again — so a snapshot carries
-        just each lane's unread run, re-linearized.  Restoring rebuilds
-        the matrix at the same capacity with every read pointer at
+        stale samples that are never read again, spare rows hold none —
+        so a snapshot carries just each live lane's unread run,
+        re-linearized.  Restoring rebuilds the matrix at the same
+        capacity with one row per live lane and every read pointer at
         column zero; the unread sample *sequence*, which is the only
         thing :meth:`take_interval`/:meth:`take_round` ever observe, is
         preserved exactly.
         """
-        unread = []
-        for lane in range(self.data.shape[0]):
-            fill = int(self._fill[lane])
-            read = int(self._read[lane])
-            first = min(fill, self.capacity - read)
-            row = np.empty(fill, dtype=np.int64)
-            row[:first] = self.data[lane, read:read + first]
-            if first < fill:
-                row[first:] = self.data[lane, :fill - first]
-            unread.append(row)
+        unread = [np.concatenate(self._unread(lane))
+                  for lane in range(self._n_lanes)]
         return {"interval_size": self.interval_size,
                 "capacity": self.capacity, "unread": unread}
 
@@ -85,6 +117,7 @@ class ShardRing:
         self.interval_size = state["interval_size"]
         self.capacity = state["capacity"]
         unread = state["unread"]
+        self._n_lanes = len(unread)
         self.data = np.zeros((len(unread), self.capacity), dtype=np.int64)
         self._read = np.zeros(len(unread), dtype=np.int64)
         self._fill = np.zeros(len(unread), dtype=np.int64)
@@ -93,12 +126,15 @@ class ShardRing:
             self._fill[lane] = row.size
 
     def add_lane(self) -> int:
-        """Append one empty lane row; returns its index."""
-        lane = self.data.shape[0]
-        self.data = np.vstack(
-            [self.data, np.zeros((1, self.capacity), dtype=np.int64)])
-        self._read = np.append(self._read, 0)
-        self._fill = np.append(self._fill, 0)
+        """Admit one empty lane; returns its index.
+
+        Uses a spare row when there is one, otherwise doubles the row
+        capacity first.
+        """
+        lane = self._n_lanes
+        if lane == self.data.shape[0]:
+            self._reallocate(max(1, 2 * lane), self.capacity)
+        self._n_lanes = lane + 1
         return lane
 
     def fill(self, lane: int) -> int:
@@ -116,23 +152,11 @@ class ShardRing:
     # -- writing -------------------------------------------------------------
 
     def _grow(self, needed: int) -> None:
-        """Re-linearize every lane to column 0 in a larger matrix."""
+        """Double the column capacity until *needed* samples fit."""
         capacity = self.capacity
         while capacity < needed:
             capacity *= 2
-        grown = np.zeros((self.data.shape[0], capacity), dtype=np.int64)
-        for lane in range(self.data.shape[0]):
-            fill = int(self._fill[lane])
-            if fill == 0:
-                continue
-            read = int(self._read[lane])
-            first = min(fill, self.capacity - read)
-            grown[lane, :first] = self.data[lane, read:read + first]
-            if first < fill:
-                grown[lane, first:fill] = self.data[lane, :fill - first]
-        self.data = grown
-        self.capacity = capacity
-        self._read[:] = 0
+        self._reallocate(self.data.shape[0], capacity)
 
     def push(self, lane: int, pcs: np.ndarray) -> int:
         """Append samples to *lane*'s queue; returns pending intervals.

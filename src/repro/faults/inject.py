@@ -91,9 +91,14 @@ def _apply_drop(arrays: _Arrays, spec: SampleDrop,
     start_p = spec.rate / spec.burst_mean
     starts = rng.random(n) < start_p
     lengths = rng.geometric(1.0 / spec.burst_mean, size=n)
-    keep = np.ones(n, dtype=bool)
-    for index in np.flatnonzero(starts):
-        keep[index:index + int(lengths[index])] = False
+    # A burst starting at i drops [i, i + length).  Sample j is dropped
+    # iff some burst starting at or before j ends past j, i.e. iff the
+    # running maximum of the burst ends up to j exceeds j — the same
+    # mask as clearing each burst's span in turn, bursts that run past
+    # the end of the stream included.
+    index = np.arange(n)
+    ends = np.where(starts, index + lengths, 0)
+    keep = np.maximum.accumulate(ends) <= index
     arrays.select(keep)
 
 

@@ -6,6 +6,8 @@ interval never wraps and :meth:`ShardRing.take_round` can hand out
 direct views of ring storage.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,66 @@ class TestTakeRound:
             block = a.take_round(lanes)
             singles = [b.take_interval(int(lane)) for lane in lanes]
             assert block.tolist() == [s.tolist() for s in singles]
+
+
+class TestLaneGrowth:
+    """Lane rows double like columns; snapshots carry live lanes only."""
+
+    def test_admitting_lanes_reallocates_logarithmically(self):
+        ring = ShardRing(1, 4, capacity_intervals=2)  # capacity 8
+        ring.push(0, np.arange(8))
+        ring.take_interval(0)
+        ring.push(0, np.arange(10, 14))  # lane 0's queue wraps
+        reallocations, storage = 0, ring.data
+        for expected in range(1, 1024):
+            assert ring.add_lane() == expected
+            if ring.data is not storage:
+                reallocations, storage = reallocations + 1, ring.data
+            ring.push(expected, np.arange(4) + 10 * expected)
+        assert reallocations <= 11
+        assert ring.n_lanes == 1024
+        assert ring.data.shape[0] >= 1024
+        assert ring.take_interval(0).tolist() == [4, 5, 6, 7]
+        assert ring.take_interval(0).tolist() == [10, 11, 12, 13]
+        block = ring.take_round(np.arange(1, 1024))
+        assert block.base is ring.data
+        assert block.tolist() == [(np.arange(4) + 10 * lane).tolist()
+                                  for lane in range(1, 1024)]
+
+    @staticmethod
+    def _pushes(ring):
+        for lane in range(ring.n_lanes):
+            ring.push(lane, np.arange(6 + lane) + 100 * lane)
+        ring.take_interval(1)
+        ring.push(1, np.arange(900, 905))  # wraps lane 1's queue
+
+    def test_grown_ring_snapshots_like_a_preallocated_one(self):
+        grown = ShardRing(0, 4, capacity_intervals=4)
+        for _ in range(5):
+            grown.add_lane()
+        assert grown.data.shape[0] > grown.n_lanes == 5
+        preallocated = ShardRing(5, 4, capacity_intervals=4)
+        self._pushes(grown)
+        self._pushes(preallocated)
+        state, reference = grown.__getstate__(), preallocated.__getstate__()
+        assert state.keys() == reference.keys()
+        assert state["capacity"] == reference["capacity"]
+        assert [row.tolist() for row in state["unread"]] == \
+            [row.tolist() for row in reference["unread"]]
+        assert pickle.dumps(grown) == pickle.dumps(preallocated)
+
+    def test_restored_ring_admits_the_next_lane_index(self):
+        grown = ShardRing(0, 4, capacity_intervals=4)
+        for _ in range(5):
+            grown.add_lane()
+        self._pushes(grown)
+        restored = pickle.loads(pickle.dumps(grown))
+        assert restored.n_lanes == 5
+        assert restored.add_lane() == 5
+        assert restored.fill(5) == 0
+        restored.push(5, np.arange(40, 48))
+        assert restored.take_interval(1).tolist() == [104, 105, 106, 900]
+        assert restored.take_interval(5).tolist() == [40, 41, 42, 43]
+        assert restored.take_round(np.array([0, 5])).tolist() == \
+            [[0, 1, 2, 3], [44, 45, 46, 47]]
+        assert list(restored.ready_lanes()) == [1, 2, 3, 4]

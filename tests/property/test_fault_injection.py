@@ -2,8 +2,9 @@
 
 Pins the injector's contract: a plan is a pure function of
 ``(stream, plan, seed)``; cycle stamps stay monotone; PCs stay inside
-the stream's observed text range unless the plan corrupts bits; and the
-empty / all-no-op plan is byte-identical (the same object, even).
+the stream's observed text range unless the plan corrupts bits; the
+empty / all-no-op plan is byte-identical (the same object, even); and a
+bursty drop keeps exactly the samples the per-burst reference loop keeps.
 """
 
 import numpy as np
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from repro.faults import (DuplicateSamples, FaultPlan, InterruptStall,
                           PcBitCorruption, PcSkid, PeriodDrift,
                           PeriodJitter, SampleDrop, inject)
+from repro.faults.inject import _rng_for
 from repro.program.behavior import RegionSpec
 from repro.program.workload import Steady, WorkloadScript, mixture
+from repro.sampling.events import SampleStream
 from repro.sampling.pmu import simulate_sampling
 
 REGIONS = {
@@ -157,3 +160,55 @@ class TestNoOpPlans:
         monitor = RegionMonitor(builder.build(),
                                 MonitorThresholds(buffer_size=256))
         monitor.process_stream(out)  # must not raise
+
+
+def numbered_stream(index):
+    """A stream whose five arrays all encode each sample's *index*."""
+    return SampleStream(
+        pcs=0x1000 + 4 * index, cycles=1000 * index,
+        dcache_miss=index % 3 == 0, region_ids=index % 2,
+        region_names=("a", "b"), sampling_period=1000,
+        total_cycles=10**7, instr_delta=index + 1)
+
+
+def reference_bursts(n, spec, seed):
+    """(starts, lengths) of the bursts, drawn as the injector draws them."""
+    rng = _rng_for(seed, 0)
+    starts = np.flatnonzero(rng.random(n) < spec.rate / spec.burst_mean)
+    lengths = rng.geometric(1.0 / spec.burst_mean, size=n)
+    return starts, lengths[starts]
+
+
+def reference_keep(n, starts, lengths):
+    """The per-burst loop the injector's running-maximum mask replaced."""
+    keep = np.ones(n, dtype=bool)
+    for start, length in zip(starts, lengths):
+        keep[start:start + int(length)] = False
+    return keep
+
+
+def check_bursty_drop(n, rate, burst_mean, seed):
+    """Assert *inject* keeps the reference samples; True if a burst overran."""
+    spec = SampleDrop(rate=rate, burst_mean=burst_mean)
+    starts, lengths = reference_bursts(n, spec, seed)
+    keep = reference_keep(n, starts, lengths)
+    out = inject(numbered_stream(np.arange(n)), FaultPlan((spec,)),
+                 seed=seed)
+    assert_streams_equal(out, numbered_stream(np.flatnonzero(keep)))
+    return bool(np.any(starts + lengths > n))
+
+
+class TestBurstyDropOracle:
+    @given(st.integers(min_value=0, max_value=3000),
+           st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
+           st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
+           seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_inject_keeps_exactly_the_reference_samples(
+            self, n, rate, burst_mean, seed):
+        check_bursty_drop(n, rate, burst_mean, seed)
+
+    def test_bursts_running_past_the_end_drop_the_tail(self):
+        overruns = sum(check_bursty_drop(24, 0.6, 8.0, seed)
+                       for seed in range(40))
+        assert overruns > 0
