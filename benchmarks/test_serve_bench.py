@@ -9,6 +9,12 @@ cadence (``ServeConfig.snapshot_every``; both the applies-per-round and
 the cadence are recorded in ``extra_info``) and gates the result at a
 5% throughput ceiling: within one measurement, so host speed cancels.
 
+``test_serve_apply_rounds`` times the same one-interval applications
+the way ``worker_main`` delivers them under load: one 256-lane round
+through ``ShardWorker.handle_batches``, every lane stepped by a single
+``process_ready()``.  Its ``batch_applies_per_sec`` against the plain
+bench's is the per-batch saving of rounds.
+
 ``test_serve_worker_recovery`` times the full crash path — restore the
 newest snapshot, replay the journal suffix — and records the replayed
 batch count; the median *is* the recovery time at that journal depth.
@@ -87,6 +93,19 @@ def _apply_round(worker, streams, chunks, snapshot):
     return worker
 
 
+def _apply_worker_round(worker, streams, chunks):
+    """One batch per stream, stepped as a single round."""
+    seq = worker.seen_through
+    batches = []
+    for k, stream in enumerate(streams):
+        seq += 1
+        batches.append(Batch(seq=seq, stream=stream,
+                             stream_seq=worker.stream_seqs[stream],
+                             samples=chunks[k % CYCLE]))
+    worker.handle_batches(batches)
+    return worker
+
+
 def _per_second(benchmark, count, name):
     try:
         median = benchmark.stats.stats.median
@@ -119,6 +138,18 @@ def test_serve_apply_snapshotted(benchmark, tmp_path):
     benchmark.extra_info["applies_per_round"] = APPLIES
     benchmark.extra_info["snapshot_every"] = ServeConfig().snapshot_every
     _per_second(benchmark, APPLIES, "batch_applies_per_sec")
+
+
+def test_serve_apply_rounds(benchmark, tmp_path):
+    def setup():
+        return _warm_worker(tmp_path), {}
+
+    worker = benchmark.pedantic(_apply_worker_round, setup=setup,
+                                rounds=STEADY_ROUNDS, iterations=1)
+    assert worker.seen_through == 2 * N_STREAMS - 1
+    assert all(seq == 2 for seq in worker.stream_seqs.values())
+    benchmark.extra_info["applies_per_round"] = N_STREAMS
+    _per_second(benchmark, N_STREAMS, "batch_applies_per_sec")
 
 
 def test_serve_worker_recovery(benchmark, tmp_path):

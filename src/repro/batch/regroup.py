@@ -108,6 +108,17 @@ class FleetRegrouper:
         #: churn shows up as increments (diagnostic, read by tests).
         self.rebuilds = 0
 
+    def __getstate__(self) -> dict:
+        """Pickle without the cached plan.
+
+        The plan is derived state, as wide as the last round, and the
+        next round rebuilds it (a rebuilt plan steps bit-identically;
+        see the module doc), so snapshots need not carry it.
+        """
+        state = self.__dict__.copy()
+        state["_plan"] = None
+        return state
+
     @property
     def coalesced(self) -> bool:
         """Whether every plan group's stable-set slots form one slice.

@@ -143,15 +143,15 @@ def serve_protocol_spec() -> ProtocolSpec:
         rules=(
             ProtocolRule(
                 message="Batch", guard="duplicate", action="ack-empty",
-                anchor=f"{_WORKER}::ShardWorker.handle_batch",
+                anchor=f"{_WORKER}::ShardWorker.handle_batches",
                 requires=("stream_seqs",)),
             ProtocolRule(
                 message="Batch", guard="early", action="stash",
-                anchor=f"{_WORKER}::ShardWorker.handle_batch",
+                anchor=f"{_WORKER}::ShardWorker.handle_batches",
                 requires=("stash",)),
             ProtocolRule(
                 message="Batch", guard="expected", action="apply-drain",
-                anchor=f"{_WORKER}::ShardWorker.handle_batch",
+                anchor=f"{_WORKER}::ShardWorker.handle_batches",
                 requires=("_apply", "stash")),
         ),
         obligations=(

@@ -29,15 +29,20 @@ class ServeConfig:
     hash_replicas:
         Virtual nodes per shard on the consistent-hash ring.
     snapshot_every:
-        Applied batches between periodic snapshots.  The default is
-        sized so snapshotting stays under the benched 5% throughput
-        budget (``benchmarks/test_serve_bench.py`` measures it; the
-        ``bench_compare`` gate enforces it): a 256-lane shard snapshot
-        costs roughly 25 one-interval batch applications, so a 1024
-        cadence amortizes to ~2.5%.  The trade is recovery work — the
+        Applied batches between periodic snapshots, checked between
+        worker rounds.  ``benchmarks/test_serve_bench.py`` measures the
+        cost on a 256-lane shard; on a 2-vCPU AMD EPYC VM a snapshot
+        takes about 9-10 ms, a one-interval batch applied alone about
+        0.21 ms, and one applied inside a 256-lane round about
+        0.057 ms.  At the 1024 cadence snapshots therefore cost about
+        4.5% of throughput with single applications, under the 5%
+        budget the ``bench_compare`` gate enforces on that pair, and
+        about 16% with full rounds.  The trade is recovery work: the
         supervisor journals every undispatched batch since the
         second-newest snapshot, so a restarted worker replays at most
-        ``2 * snapshot_every`` batches.
+        ``2 * snapshot_every`` batches, plus up to one round (one batch
+        per stream of the shard) by which a snapshot can trail its
+        cadence.
     snapshot_keep:
         Snapshot generations retained per shard (minimum 2 — recovery
         must survive a torn newest generation).

@@ -18,6 +18,13 @@ extraction cursors, a respawned worker re-emits exactly the event
 deltas its predecessor produced — which the supervisor verifies
 record-for-record.
 
+Throughput comes from *rounds*: the loop takes the next delivery plus
+every message already queued behind it (:func:`collect_round`) and
+steps their lanes together (:meth:`ShardWorker.handle_batches`), one
+``process_ready()`` per round instead of one per batch.  Lanes of a
+``BatchSession`` cannot see each other, so every ack, cursor and
+snapshot is bit-identical to applying the deliveries one at a time.
+
 Chaos hooks: the worker honors the shard's
 :class:`~repro.faults.service.ServiceFaultPlan` — deterministic
 self-kills (``worker-crash``), torn snapshot writes followed by death
@@ -31,8 +38,9 @@ import os
 import queue
 import signal
 import time
+from dataclasses import dataclass, field
 from types import FrameType
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,7 +56,8 @@ from repro.serve.snapshot import (ShardSnapshot, SnapshotStore,
                                   encode_snapshot)
 from repro.telemetry.bus import EventBus
 
-__all__ = ["ShardWorker", "worker_main", "CRASH_EXIT_CODE"]
+__all__ = ["ShardWorker", "worker_main", "collect_round",
+           "CRASH_EXIT_CODE"]
 
 #: Exit status of a fault-injected self-kill (mirrors SIGKILL's 128+9).
 CRASH_EXIT_CODE = 137
@@ -74,6 +83,19 @@ def build_shard_session(config: ServeConfig,
     for stream in streams:
         session.add_lane(name=stream)
     return session
+
+
+@dataclass
+class _Round:
+    """Applications fed to the shard session but not yet stepped.
+
+    ``staged`` maps each fed stream to its ``(stream_seq, intervals
+    before feeding)``; closing the round moves every staged application
+    to ``closed``, keyed ``(stream, stream_seq)``, with its event delta.
+    """
+
+    staged: dict[str, tuple[int, int]] = field(default_factory=dict)
+    closed: dict[tuple[str, int], AppliedBatch] = field(default_factory=dict)
 
 
 class ShardWorker:
@@ -140,47 +162,78 @@ class ShardWorker:
             self.seen_through += 1
             self._seen_ahead.discard(self.seen_through)
 
-    def _apply(self, stream: str, stream_seq: int,
-               samples: np.ndarray) -> AppliedBatch:
+    def _apply(self, round_: _Round, stream: str, stream_seq: int,
+               samples: np.ndarray) -> tuple[str, int]:
+        """Feed one batch into the open round; returns its ack key."""
+        if stream in round_.staged:
+            # One application per lane per step keeps each ack's event
+            # delta its own (a stash drain feeds one stream repeatedly).
+            self._close_round(round_)
         lane = self._lane(stream)
-        before = lane.stats.intervals
+        round_.staged[stream] = (stream_seq, lane.stats.intervals)
         lane.feed_many(np.asarray(samples, dtype=np.int64))
-        self.session.process_ready()
-        events, self.cursors[stream] = extract_lane_events(
-            lane, self.cursors[stream])
         self.stream_seqs[stream] = stream_seq + 1
         self._since_snapshot += 1
-        return AppliedBatch(stream=stream, stream_seq=stream_seq,
-                            events=events,
-                            intervals=lane.stats.intervals - before)
+        return stream, stream_seq
+
+    def _close_round(self, round_: _Round) -> None:
+        """Step every staged lane at once, then read each one's events."""
+        self.session.process_ready()
+        for stream, (stream_seq, before) in round_.staged.items():
+            lane = self._lane(stream)
+            events, self.cursors[stream] = extract_lane_events(
+                lane, self.cursors[stream])
+            round_.closed[stream, stream_seq] = AppliedBatch(
+                stream=stream, stream_seq=stream_seq, events=events,
+                intervals=lane.stats.intervals - before)
+        round_.staged.clear()
+
+    def handle_batches(self, messages: Sequence[Batch]) -> list[BatchAck]:
+        """Apply deliveries as one lockstep round; one ack per message.
+
+        Each message runs the dedupe/stash/drain discipline in order, but
+        an application only feeds its lane; the round closes with one
+        ``process_ready()`` and one event extraction per staged stream.
+        Every ack is bit-identical to :meth:`handle_batch` one message at
+        a time.
+        """
+        round_ = _Round()
+        keyed: list[tuple[int, list[tuple[str, int]]]] = []
+        for message in messages:
+            stall = self._stalls.get(message.seq)
+            if stall is not None and message.seq not in self._stalled:
+                self._stalled.add(message.seq)
+                time.sleep(stall.stall_seconds)  # the injected consumer stall
+            self._note_seq(message.seq)
+            stream = message.stream
+            applied: list[tuple[str, int]] = []
+            expected = self.stream_seqs.get(stream, 0)
+            if message.stream_seq < expected:
+                pass  # duplicate delivery: ack with nothing applied
+            elif message.stream_seq > expected:
+                self.stash.setdefault(stream, {})[message.stream_seq] = \
+                    np.array(message.samples, dtype=np.int64)
+            else:
+                applied.append(self._apply(round_, stream,
+                                           message.stream_seq,
+                                           message.samples))
+                parked = self.stash.get(stream)
+                while parked:
+                    up_next = self.stream_seqs[stream]
+                    if up_next not in parked:
+                        break
+                    applied.append(self._apply(round_, stream, up_next,
+                                               parked.pop(up_next)))
+            keyed.append((message.seq, applied))
+        if round_.staged:
+            self._close_round(round_)
+        return [BatchAck(shard=self.shard_id, seq=seq,
+                         applied=tuple(round_.closed[key] for key in keys))
+                for seq, keys in keyed]
 
     def handle_batch(self, message: Batch) -> BatchAck:
         """Apply one delivery (dedupe/stash/drain); always returns an ack."""
-        stall = self._stalls.get(message.seq)
-        if stall is not None and message.seq not in self._stalled:
-            self._stalled.add(message.seq)
-            time.sleep(stall.stall_seconds)  # the injected consumer stall
-        self._note_seq(message.seq)
-        stream = message.stream
-        applied: list[AppliedBatch] = []
-        expected = self.stream_seqs.get(stream, 0)
-        if message.stream_seq < expected:
-            pass  # duplicate delivery: ack with nothing applied
-        elif message.stream_seq > expected:
-            self.stash.setdefault(stream, {})[message.stream_seq] = \
-                np.array(message.samples, dtype=np.int64)
-        else:
-            applied.append(self._apply(stream, message.stream_seq,
-                                       message.samples))
-            parked = self.stash.get(stream)
-            while parked:
-                up_next = self.stream_seqs[stream]
-                if up_next not in parked:
-                    break
-                applied.append(self._apply(stream, up_next,
-                                           parked.pop(up_next)))
-        return BatchAck(shard=self.shard_id, seq=message.seq,
-                        applied=tuple(applied))
+        return self.handle_batches([message])[0]
 
     # -- snapshots ------------------------------------------------------------
 
@@ -241,6 +294,32 @@ class ShardWorker:
         return None
 
 
+def collect_round(first: Batch, in_q: Any,
+                  crash_spec_for: Callable[[int], WorkerCrash | None]
+                  ) -> tuple[list[Batch], Any]:
+    """*first* plus every batch already queued behind it, one per stream.
+
+    Takes messages off *in_q* (anything with ``get_nowait``) without
+    waiting, and stops before the first one that repeats a stream of the
+    round, is not a :class:`Batch`, or carries an injected crash.
+    Returns the round and that message (``None`` when the queue ran dry),
+    which the caller handles next.  A round is bounded by the shard's
+    stream count.
+    """
+    batches = [first]
+    streams = {first.stream}
+    while True:
+        try:
+            message = in_q.get_nowait()
+        except queue.Empty:
+            return batches, None
+        if not isinstance(message, Batch) or message.stream in streams \
+                or crash_spec_for(message.seq) is not None:
+            return batches, message
+        batches.append(message)
+        streams.add(message.stream)
+
+
 def _flush_and_die(out_q: Any) -> None:
     """Flush the output queue's feeder thread, then hard-exit.
 
@@ -278,13 +357,17 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
     out_q.put(WorkerStarted(shard=shard_id,  # repro: allow[queue-no-timeout] unbounded output queue
                             restored_seq=worker.restored_seq,
                             lanes=worker.streams))
+    upcoming: Any = None  # the message that ended the last round
     while True:
         if terminated["flag"]:
             break
-        try:
-            message = in_q.get(timeout=0.05)
-        except queue.Empty:
-            continue
+        if upcoming is not None:
+            message, upcoming = upcoming, None
+        else:
+            try:
+                message = in_q.get(timeout=0.05)
+            except queue.Empty:
+                continue
         if isinstance(message, Shutdown):
             if message.final_snapshot:
                 out_q.put(worker.take_snapshot())  # repro: allow[queue-no-timeout] unbounded output queue
@@ -292,13 +375,16 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
         if not isinstance(message, Batch):
             continue  # unknown message: ignore, stay alive
         crash = worker.crash_spec_for(message.seq)
-        if crash is not None and crash.before_ack:
-            worker.handle_batch(message)
-            _flush_and_die(out_q)
-        ack = worker.handle_batch(message)
-        out_q.put(ack)  # repro: allow[queue-no-timeout] unbounded output queue
         if crash is not None:
+            # A crash delivery goes alone, after the round before it.
+            ack = worker.handle_batch(message)
+            if not crash.before_ack:
+                out_q.put(ack)  # repro: allow[queue-no-timeout] unbounded output queue
             _flush_and_die(out_q)
+        batches, upcoming = collect_round(message, in_q,
+                                          worker.crash_spec_for)
+        for ack in worker.handle_batches(batches):
+            out_q.put(ack)  # repro: allow[queue-no-timeout] unbounded output queue
         if worker.snapshot_due:
             try:
                 out_q.put(worker.take_snapshot())  # repro: allow[queue-no-timeout] unbounded output queue

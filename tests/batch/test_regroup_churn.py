@@ -12,7 +12,14 @@ survive any interleaving:
 * the fleet ends re-coalesced: plan rebuilds re-compact the stable-set
   stores, so churn may not leave the session degraded to ragged gathers
   (``FleetRegrouper.coalesced``).
+
+A pickled session (a serve shard snapshot) leaves the cached plan
+behind; the restored session rebuilds it and must continue exactly like
+the original.
 """
+
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +30,7 @@ from repro.errors import RegionError
 from repro.faults.inject import inject
 from repro.monitor.online import OnlineSession
 from repro.monitor.watchdog import WatchdogConfig
+from repro.telemetry.bus import EventBus
 from tests.batch.test_session_conformance import (THRESHOLDS,
                                                   assert_lane_matches_scalar,
                                                   lane_streams, traced_bus)
@@ -120,3 +128,36 @@ class TestChurnedFleet:
         assert batch._regrouper.coalesced
         # plans are cached: far fewer rebuilds than rounds stepped
         assert batch._regrouper.rebuilds <= n_rounds
+
+
+class TestPlanFreePickle:
+    def test_restored_session_rebuilds_the_plan_bit_identically(self):
+        model, streams = lane_streams(N_LANES)
+        plans = [None, drop_plan(0.25, 4.0), None]
+        feeds = [inject(stream, plan, seed=7).pcs if plan else stream.pcs
+                 for stream, plan in zip(streams, plans)]
+        n_rounds = min(12, min(pcs.size for pcs in feeds) // CHUNK)
+        session = BatchSession(binary=model.binary,
+                               monitor_thresholds=THRESHOLDS,
+                               watchdog=WatchdogConfig(),
+                               telemetry=EventBus())
+        for _ in range(N_LANES):
+            session.add_lane()
+
+        def step(target, rounds):
+            for r in rounds:
+                target.feed(np.stack([pcs[r * CHUNK:(r + 1) * CHUNK]
+                                      for pcs in feeds]))
+
+        step(session, range(n_rounds // 2))
+        assert session._regrouper._plan is not None
+        restored = pickle.loads(pickle.dumps(session))
+        assert restored._regrouper._plan is None
+        assert session._regrouper._plan is not None  # the live one keeps it
+
+        step(session, range(n_rounds // 2, n_rounds))
+        step(restored, range(n_rounds // 2, n_rounds))
+        assert restored._regrouper._plan is not None
+        untraced = SimpleNamespace(events=[])
+        for original, twin in zip(session.lanes, restored.lanes):
+            assert_lane_matches_scalar(original, twin, untraced, untraced)

@@ -18,7 +18,8 @@ from repro.checks.protocol import (INVARIANTS, PROTOCOL_PATH,
                                    explore_model, mutate_rule,
                                    run_protocol_checker,
                                    serve_protocol_spec, small_scope)
-from repro.serve.worker import ShardWorker
+from repro.serve.messages import BatchAck
+from repro.serve.worker import ShardWorker, _Round
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -129,27 +130,34 @@ class DedupeSkippingWorker(ShardWorker):
     redelivered batch is applied again (the bug the protocol exists to
     rule out)."""
 
-    def handle_batch(self, message):
-        self._note_seq(message.seq)
-        stream = message.stream
-        applied = []
-        expected = self.stream_seqs.get(stream, 0)
-        if message.stream_seq > expected:
-            self.stash.setdefault(stream, {})[message.stream_seq] = \
-                np.array(message.samples, dtype=np.int64)
-        else:
-            applied.append(self._apply(stream, message.stream_seq,
-                                       message.samples))
-            parked = self.stash.get(stream)
-            while parked:
-                up_next = self.stream_seqs[stream]
-                if up_next not in parked:
-                    break
-                applied.append(self._apply(stream, up_next,
-                                           parked.pop(up_next)))
-        from repro.serve.messages import BatchAck
-        return BatchAck(shard=self.shard_id, seq=message.seq,
-                        applied=tuple(applied))
+    def handle_batches(self, messages):
+        round_ = _Round()
+        keyed = []
+        for message in messages:
+            self._note_seq(message.seq)
+            stream = message.stream
+            applied = []
+            expected = self.stream_seqs.get(stream, 0)
+            if message.stream_seq > expected:
+                self.stash.setdefault(stream, {})[message.stream_seq] = \
+                    np.array(message.samples, dtype=np.int64)
+            else:
+                applied.append(self._apply(round_, stream,
+                                           message.stream_seq,
+                                           message.samples))
+                parked = self.stash.get(stream)
+                while parked:
+                    up_next = self.stream_seqs[stream]
+                    if up_next not in parked:
+                        break
+                    applied.append(self._apply(round_, stream, up_next,
+                                               parked.pop(up_next)))
+            keyed.append((message.seq, applied))
+        if round_.staged:
+            self._close_round(round_)
+        return [BatchAck(shard=self.shard_id, seq=seq,
+                         applied=tuple(round_.closed[key] for key in keys))
+                for seq, keys in keyed]
 
 
 class TestRealWorkerCrossCheck:
