@@ -14,8 +14,12 @@ are statically recognizable.  Six rules:
 ``queue-no-timeout``
     A blocking ``.put``/``.get`` on a queue without a ``timeout=``
     deadlocks forever when the peer process is dead.  The rule keys on
-    queue-named receivers (``in_q``, ``out_q``, ``*queue*``);
+    queue-named receivers (``q``, ``*_q`` such as ``in_q``/``out_q``,
+    ``*queue*``);
     ``put_nowait``/``get_nowait`` are explicitly non-blocking and fine.
+    A ``send`` on a worker's ack pipe is out of its scope: the
+    supervisor waits on that pipe together with the worker's process
+    sentinel, so a dead peer is seen rather than waited on.
 ``message-field-unpicklable``
     A wire-message dataclass field annotated with a callable, lock,
     queue, process or file handle cannot cross a ``multiprocessing``

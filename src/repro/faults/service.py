@@ -67,10 +67,11 @@ class WorkerCrash(ServiceFaultSpec):
 
     With ``before_ack=True`` the batch is fully applied but the crash
     lands before its acknowledgement leaves the worker — the
-    lost-receipt window recovery must replay through.  Either way the
-    worker flushes its output queue before dying, so the failure is a
-    clean process loss, not queue corruption (a torn queue is not a
-    recoverable fault class for ``multiprocessing`` pipes).
+    lost-receipt window recovery must replay through.  Either way every
+    ack the worker sent is already in its ack pipe when it dies, so the
+    failure is a clean process loss between queue operations, not a
+    torn queue (which is not a recoverable fault class for
+    ``multiprocessing`` pipes).
     """
 
     kind = "worker-crash"

@@ -58,9 +58,6 @@ class ServeConfig:
         Degradation policy for slow consumers, reusing the region
         watchdog's retry-budget/backoff/blacklist semantics at stream
         granularity.
-    ack_timeout:
-        Seconds the supervisor waits for worker output before probing
-        worker liveness (dead-worker detection latency).
     """
 
     binary: SyntheticBinary | None = None
@@ -77,7 +74,6 @@ class ServeConfig:
     dispatch_retries: int = 5
     dispatch_backoff: float = 0.05
     governor: WatchdogConfig = field(default_factory=WatchdogConfig)
-    ack_timeout: float = 0.25
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:

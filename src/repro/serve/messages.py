@@ -1,11 +1,12 @@
 """Wire protocol between the fleet supervisor and its shard workers.
 
-Everything crossing a queue is a small picklable dataclass.  Down the
-shard's input queue go :class:`Batch` and :class:`Shutdown`; up the
-output queue come :class:`WorkerStarted` (once per incarnation),
-:class:`BatchAck` (once per delivered batch — *including* duplicates,
-so the supervisor's outstanding-set always drains), and
-:class:`SnapshotWritten` (after each persisted generation).
+Everything crossing between the processes is a small picklable
+dataclass.  Down the shard's input queue go :class:`Batch` and
+:class:`Shutdown`; up the worker incarnation's own ack pipe come
+:class:`WorkerStarted` (once per incarnation), :class:`BatchAck` (once
+per delivered batch — *including* duplicates, so the supervisor's
+outstanding-set always drains), and :class:`SnapshotWritten` (after
+each persisted generation).
 
 Delivery rules the protocol is designed around:
 

@@ -7,7 +7,12 @@ The supervisor owns the serving topology::
         ▼
     bounded input queue ──► shard worker (BatchSession + snapshots)
         ▲                        │
-        └── journal replay ◄─────┘ acks / snapshots on one output queue
+        └── journal replay ◄─────┘ acks / snapshots on the shard's ack pipe
+
+Each worker incarnation sends upward on its own one-way pipe.  The
+supervisor waits on every shard's pipe reader and every worker's
+``Process.sentinel`` in one :func:`multiprocessing.connection.wait`,
+so a death wakes it at once rather than after a stretch of silence.
 
 Every accepted batch is journaled before it is enqueued, so a worker
 death is recovered by respawning the process, letting it restore the
@@ -30,9 +35,10 @@ retries exhausted    :class:`~repro.serve.governor.StreamGovernor` trips
                      the stream: suspension with watchdog-style backoff,
                      then blacklist (the batch is shed, counted, and
                      reported — never silently lost)
-dead worker          detected via ``Process.is_alive``/exit codes during
-                     ack waits (heartbeat gauges track liveness);
-                     respawned from snapshot + journal replay
+dead worker          detected when its sentinel fires or its ack pipe
+                     reads end-of-file (heartbeat gauges track
+                     liveness); respawned from snapshot + journal
+                     replay
 torn snapshot        the worker's store falls back to the previous
                      generation (or genesis); the journal retains every
                      entry past the *second*-newest snapshot for exactly
@@ -49,6 +55,8 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
+from multiprocessing.connection import Connection, wait
+from typing import Callable
 
 import numpy as np
 
@@ -97,6 +105,9 @@ class _ShardState:
         self.next_seq = 0
         self.unacked: set[int] = set()
         self.process: multiprocessing.process.BaseProcess | None = None
+        #: Read end of the live incarnation's ack pipe; None once its
+        #: death has been handled and no successor was spawned.
+        self.reader: Connection | None = None
         self.incarnations = 0
         self.started = False
         self.snapshot_seqs: list[int] = []
@@ -124,7 +135,8 @@ class FleetSupervisor:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ring = HashRing(config.n_shards, config.hash_replicas)
         self._ctx = _mp_context()
-        self.out_q = self._ctx.Queue()
+        #: Set by shutdown(): from then on a death is final.
+        self._stopping = False
         assignment = self.ring.partition(self.streams)
         self._shards = {
             shard: _ShardState(shard, assigned, self._ctx, config)
@@ -160,16 +172,14 @@ class FleetSupervisor:
         """Spawn one worker per shard and wait for them to come up."""
         for state in self._shards.values():
             self._spawn(state)
-        deadline = time.monotonic() + timeout  # repro: allow[wall-clock] startup deadline
-        while not all(s.started for s in self._shards.values()):
-            remaining = deadline - time.monotonic()  # repro: allow[wall-clock] startup deadline
-            if remaining <= 0:
-                missing = [s.shard_id for s in self._shards.values()
-                           if not s.started]
-                raise ServeError(
-                    f"workers for shards {missing} did not start within "
-                    f"{timeout}s")
-            self._pump(timeout=min(remaining, self.config.ack_timeout))
+        if not self._pump_until(
+                lambda: all(s.started for s in self._shards.values()),
+                timeout):
+            missing = [s.shard_id for s in self._shards.values()
+                       if not s.started]
+            raise ServeError(
+                f"workers for shards {missing} did not start within "
+                f"{timeout}s")
 
     def _spawn(self, state: _ShardState) -> None:
         plan = ServiceFaultPlan(tuple(
@@ -180,13 +190,18 @@ class FleetSupervisor:
         ) + tuple(self._fatal[state.shard_id]))
         state.started = False
         state.incarnations += 1
+        reader, writer = self._ctx.Pipe(duplex=False)
         state.process = self._ctx.Process(
             target=worker_main,
             args=(state.shard_id, tuple(state.streams), self.config,
-                  self.snapshot_dir, plan, state.in_q, self.out_q),
+                  self.snapshot_dir, plan, state.in_q, writer),
             daemon=True,
             name=f"repro-shard{state.shard_id}-gen{state.incarnations}")
         state.process.start()
+        # Leave the worker the only write end, so the reader reaches
+        # end-of-file exactly when the incarnation dies.
+        writer.close()
+        state.reader = reader
 
     def _respawn(self, state: _ShardState) -> None:
         """Replace a dead incarnation; replay follows its WorkerStarted."""
@@ -198,20 +213,21 @@ class FleetSupervisor:
             # FIFO delivery means the lowest-sequence unfired fatal
             # fault is the one that fired: consume exactly it.
             self._fatal[state.shard_id].pop(0)
+        # An outside kill most likely lands while the worker waits in
+        # in_q.get() holding the queue's reader lock, which would starve
+        # its successor.  Nobody else reads this queue: take it back.
+        reader_lock = state.in_q._rlock  # type: ignore[attr-defined]
+        reader_lock.acquire(block=False)
+        reader_lock.release()
         self._spawn(state)
 
     # -- ingestion ------------------------------------------------------------
 
     def submit(self, stream: str, samples: np.ndarray) -> bool:
         """Route one batch; returns False if the governor shed it."""
-        # Absorb whatever the workers have produced before ingesting
-        # more.  Acks left sitting in the output pipe eventually fill
-        # it, blocking every worker's queue feeder thread mid-message —
-        # harmless to their apply loops, but it batches up exactly the
-        # flush work that worker exit (and a failure-path shutdown)
-        # then has to wait out.
-        while self._pump(timeout=0.0):
-            pass
+        # Absorb whatever the workers have sent before ingesting more:
+        # a worker whose ack pipe is full blocks in its next send.
+        self._pump(timeout=0.0)
         shard = self._stream_shard.get(stream)
         if shard is None:
             raise ServeError(f"unknown stream {stream!r}")
@@ -290,19 +306,29 @@ class FleetSupervisor:
         """Bounded put with exponential backoff; False when it gives up."""
         delay = self.config.dispatch_backoff
         for attempt in range(self.config.dispatch_retries):
-            try:
-                state.in_q.put(message,
-                               timeout=self.config.dispatch_timeout)
+            if self._put(state, message):
                 return True
-            except queue.Full:
-                # Backpressure: the consumer is behind (or dead).  Keep
-                # the ack pipeline moving, revive a dead worker so the
-                # queue can drain, then retry after a growing pause.
-                self._pump(timeout=0.0)
-                self._check_workers()
-                time.sleep(delay)
-                delay *= 2
+            # Backpressure: the consumer is behind (or dead).  Spend the
+            # growing pause handling acks and any death, so the queue
+            # can drain, then retry.
+            self._pump_until(lambda: False, delay)
+            delay *= 2
         return False
+
+    def _put(self, state: _ShardState, message: Batch | Shutdown) -> bool:
+        """One bounded put on the shard's input queue; False if full.
+
+        A put about to wait on the worker reads its acks first, since a
+        worker blocked sending into a full ack pipe takes nothing off
+        its queue.
+        """
+        if state.in_q.full():
+            self._pump(timeout=0.0)
+        try:
+            state.in_q.put(message, timeout=self.config.dispatch_timeout)
+        except queue.Full:
+            return False
+        return True
 
     def _flush_held(self) -> None:
         """Release any reorder-held messages (run boundary / drain)."""
@@ -313,16 +339,60 @@ class FleetSupervisor:
 
     # -- the upward pipeline --------------------------------------------------
 
-    def _pump(self, timeout: float) -> bool:
-        """Process at most one output-queue message; True if one arrived."""
-        try:
-            if timeout > 0:
-                message = self.out_q.get(timeout=timeout)
-            else:
-                message = self.out_q.get_nowait()
-        except queue.Empty:
-            return False
-        self._handle_up(message)
+    def _pump(self, timeout: float) -> None:
+        """Handle the workers' messages and deaths.
+
+        Waits up to *timeout* seconds (zero only polls) in one
+        ``connection.wait`` on every shard's ack reader and every live
+        worker's sentinel, so a death wakes it at once.  Every message
+        a dead incarnation sent is handled before its reader is closed.
+        """
+        watched = [(state, state.reader, state.process.sentinel)
+                   for state in self._shards.values()
+                   if state.reader is not None
+                   and state.process is not None]
+        ready = set(wait([reader for _, reader, _ in watched]
+                         + [sentinel for _, _, sentinel in watched],
+                         timeout))
+        for state, reader, sentinel in watched:
+            if reader not in ready and sentinel not in ready:
+                continue
+            alive = self._receive(state, reader) and sentinel not in ready
+            # A nested pump (replay backpressure) may have replaced it.
+            if not alive and state.reader is reader:
+                self._bury(state, reader)
+
+    def _receive(self, state: _ShardState, reader: Connection) -> bool:
+        """Handle every message waiting on *reader*; False at its end."""
+        while state.reader is reader:
+            try:
+                if not reader.poll(0):
+                    return True
+                message = reader.recv()
+            except (EOFError, OSError):
+                # End-of-file, or a frame torn by a death mid-send.
+                return False
+            self._handle_up(message)
+        return True
+
+    def _bury(self, state: _ShardState, reader: Connection) -> None:
+        """Close a dead incarnation's reader; respawn unless stopping."""
+        self.metrics.gauge("repro_serve_worker_up",
+                           "liveness heartbeat per shard",
+                           shard=str(state.shard_id)).set(0.0)
+        reader.close()
+        state.reader = None
+        if not self._stopping:
+            self._respawn(state)
+
+    def _pump_until(self, done: Callable[[], bool], timeout: float) -> bool:
+        """Pump until *done()* holds; False if *timeout* s pass first."""
+        deadline = time.monotonic() + timeout  # repro: allow[wall-clock] pump deadline
+        while not done():
+            remaining = deadline - time.monotonic()  # repro: allow[wall-clock] pump deadline
+            if remaining <= 0:
+                return False
+            self._pump(timeout=remaining)
         return True
 
     def _handle_up(self, message: object) -> None:
@@ -367,20 +437,6 @@ class FleetSupervisor:
             if len(state.snapshot_seqs) >= 2:
                 state.journal.truncate_through(state.snapshot_seqs[-2])
 
-    def _check_workers(self) -> None:
-        """Liveness probe: respawn any dead incarnation."""
-        for state in self._shards.values():
-            process = state.process
-            if process is None:
-                continue
-            alive = process.is_alive()
-            self.metrics.gauge("repro_serve_worker_up",
-                               "liveness heartbeat per shard",
-                               shard=str(state.shard_id)
-                               ).set(1.0 if alive else 0.0)
-            if not alive:
-                self._respawn(state)
-
     # -- draining and shutdown ------------------------------------------------
 
     @property
@@ -397,28 +453,23 @@ class FleetSupervisor:
         within *timeout* seconds.
         """
         self._flush_held()
-        deadline = time.monotonic() + timeout  # repro: allow[wall-clock] drain deadline
-        while self.outstanding:
-            if time.monotonic() > deadline:  # repro: allow[wall-clock] drain deadline
-                pending = {state.shard_id: sorted(state.unacked)[:5]
-                           for state in self._shards.values()
-                           if state.unacked}
-                raise ServeError(
-                    f"fleet did not drain within {timeout}s; pending "
-                    f"acks (first few per shard): {pending}")
-            if not self._pump(timeout=self.config.ack_timeout):
-                self._check_workers()
-        while self._pump(timeout=0.0):
-            pass  # absorb trailing snapshot notices
+        if not self._pump_until(lambda: not self.outstanding, timeout):
+            pending = {state.shard_id: sorted(state.unacked)[:5]
+                       for state in self._shards.values()
+                       if state.unacked}
+            raise ServeError(
+                f"fleet did not drain within {timeout}s; pending "
+                f"acks (first few per shard): {pending}")
+        self._pump(timeout=0.0)  # absorb trailing snapshot notices
 
-    def _reap(self, processes: list, timeout: float) -> list:
-        """Pump the output queue until *processes* exit; return stragglers."""
-        deadline = time.monotonic() + timeout  # repro: allow[wall-clock] shutdown deadline
-        pending = [p for p in processes if p.is_alive()]
-        while pending and time.monotonic() < deadline:  # repro: allow[wall-clock] shutdown deadline
-            self._pump(timeout=0.02)
-            pending = [p for p in pending if p.is_alive()]
-        return pending
+    def _reap(self,
+              timeout: float) -> list[multiprocessing.process.BaseProcess]:
+        """Pump until every worker's death is handled; return stragglers."""
+        self._pump_until(lambda: all(state.reader is None
+                                     for state in self._shards.values()),
+                         timeout)
+        return [state.process for state in self._shards.values()
+                if state.reader is not None and state.process is not None]
 
     def shutdown(self, graceful: bool = True,
                  timeout: float = 10.0) -> dict[int, int | None]:
@@ -428,41 +479,34 @@ class FleetSupervisor:
         a worker that refuses to exit is terminated, and one that still
         lingers is killed — no worker survives this call, so the host
         interpreter's exit (which joins leftover children unboundedly)
-        can never hang on the fleet.  The output queue is pumped the
-        whole time: exiting workers flush buffered acks through their
-        queue feeder threads, and a full pipe with no reader would
-        otherwise wedge that flush (and with it the worker's exit).
+        can never hang on the fleet.  Every ack pipe is read the whole
+        time, so no worker blocks in a send on its way out, and from
+        the first line on a death is final: nothing is respawned.
         Exit code 0 (or a clean SIGTERM exit) is success; anything else
         is surfaced to the caller.
         """
+        self._stopping = True
         for state in self._shards.values():
-            process = state.process
-            if process is None or not process.is_alive():
-                continue
-            try:
-                state.in_q.put(Shutdown(final_snapshot=graceful),
-                               timeout=self.config.dispatch_timeout)
-            except queue.Full:
-                pass  # worker is wedged; the terminate below handles it
-        pending = [state.process for state in self._shards.values()
-                   if state.process is not None]
-        pending = self._reap(pending, timeout)
-        for process in pending:
+            if state.reader is not None:
+                # A worker too wedged to take it is terminated below.
+                self._put(state, Shutdown(final_snapshot=graceful))
+        for process in self._reap(timeout):
             process.terminate()
-        for process in self._reap(pending, 5.0):
+        for process in self._reap(5.0):
             process.kill()  # wedged past SIGTERM: nothing left to save
         for state in self._shards.values():
             if state.process is not None:
                 state.process.join(timeout=5.0)
-        while self._pump(timeout=0.0):
-            pass  # collect final snapshot notices
+        self._pump(timeout=0.0)  # collect final snapshot notices
         exit_codes = {state.shard_id: (state.process.exitcode
                                        if state.process is not None
                                        else None)
                       for state in self._shards.values()}
         for state in self._shards.values():
+            if state.reader is not None:
+                state.reader.close()
+                state.reader = None
             state.in_q.close()
-        self.out_q.close()
         return exit_codes
 
     # -- results --------------------------------------------------------------

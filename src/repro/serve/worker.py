@@ -39,6 +39,7 @@ import queue
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from types import FrameType
 from typing import Any, Callable, Sequence
 
@@ -320,26 +321,18 @@ def collect_round(first: Batch, in_q: Any,
         streams.add(message.stream)
 
 
-def _flush_and_die(out_q: Any) -> None:
-    """Flush the output queue's feeder thread, then hard-exit.
-
-    The injected failure mode is *process loss*, not queue corruption:
-    a real crash can land between any two queue operations, but tearing
-    a ``multiprocessing`` pipe mid-message is not a recoverable fault
-    class (the receiver would see a deserialization error, not a lost
-    message), so the harness always lets buffered messages drain before
-    dying.
-    """
-    out_q.close()
-    out_q.join_thread()
-    os._exit(CRASH_EXIT_CODE)
-
-
 def worker_main(shard_id: int, streams: tuple[str, ...],
                 config: ServeConfig, snapshot_dir: str,
                 faults: ServiceFaultPlan | None,
-                in_q: Any, out_q: Any) -> None:
-    """Process entry point for one shard worker incarnation."""
+                in_q: Any, acks: Connection) -> None:
+    """Process entry point for one shard worker incarnation.
+
+    *acks* is the write end of this incarnation's one-way ack pipe; the
+    supervisor closes its own copy once the process has started.  A
+    ``send`` returns once the message is in the pipe, so a death right
+    after it loses nothing, and the supervisor reads end-of-file the
+    moment the process is gone.
+    """
     terminated = {"flag": False}
 
     def _on_signal(signum: int, frame: FrameType | None) -> None:
@@ -351,10 +344,7 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
     store = SnapshotStore(snapshot_dir, shard_id,
                           keep=config.snapshot_keep)
     worker = ShardWorker(shard_id, tuple(streams), config, store, faults)
-    # The output queue is unbounded (the supervisor's ctx.Queue() with
-    # no maxsize), so these puts never block on capacity — only the
-    # feeder thread writes the pipe, and it survives a dead reader.
-    out_q.put(WorkerStarted(shard=shard_id,  # repro: allow[queue-no-timeout] unbounded output queue
+    acks.send(WorkerStarted(shard=shard_id,
                             restored_seq=worker.restored_seq,
                             lanes=worker.streams))
     upcoming: Any = None  # the message that ended the last round
@@ -370,7 +360,7 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
                 continue
         if isinstance(message, Shutdown):
             if message.final_snapshot:
-                out_q.put(worker.take_snapshot())  # repro: allow[queue-no-timeout] unbounded output queue
+                acks.send(worker.take_snapshot())
             return
         if not isinstance(message, Batch):
             continue  # unknown message: ignore, stay alive
@@ -379,22 +369,25 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
             # A crash delivery goes alone, after the round before it.
             ack = worker.handle_batch(message)
             if not crash.before_ack:
-                out_q.put(ack)  # repro: allow[queue-no-timeout] unbounded output queue
-            _flush_and_die(out_q)
+                acks.send(ack)
+            os._exit(CRASH_EXIT_CODE)
         batches, upcoming = collect_round(message, in_q,
                                           worker.crash_spec_for)
         for ack in worker.handle_batches(batches):
-            out_q.put(ack)  # repro: allow[queue-no-timeout] unbounded output queue
+            acks.send(ack)
         if worker.snapshot_due:
             try:
-                out_q.put(worker.take_snapshot())  # repro: allow[queue-no-timeout] unbounded output queue
+                acks.send(worker.take_snapshot())
             except SnapshotError:
-                _flush_and_die(out_q)  # torn write == death mid-checkpoint
+                os._exit(CRASH_EXIT_CODE)  # torn write == death mid-checkpoint
     # SIGTERM/SIGINT: persist a final snapshot, then exit cleanly.  The
-    # on-disk snapshot is what recovery needs; the queue notice is only
-    # advisory, and a terminating supervisor may never read it — so the
-    # exit-time feeder flush must not be allowed to block (a full pipe
-    # would turn this exit into a deadlock that the supervisor's own
-    # unbounded interpreter-exit joins then inherit).
-    out_q.put(worker.take_snapshot())  # repro: allow[queue-no-timeout] unbounded output queue
-    out_q.cancel_join_thread()
+    # on-disk snapshot is what recovery needs; the notice is only
+    # advisory.  A supervisor that is gone (a broken pipe) or not
+    # reading (a full pipe, which the non-blocking write reports as an
+    # error) must not turn this exit into a hang.
+    written = worker.take_snapshot()
+    try:
+        os.set_blocking(acks.fileno(), False)
+        acks.send(written)
+    except OSError:
+        pass

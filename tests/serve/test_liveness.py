@@ -1,0 +1,265 @@
+"""Dead-worker detection: a death wakes the supervisor through its sentinel.
+
+Each fleet here is checked the way the chaos differential checks its
+fleet: every stream's events, assembled from acks, must be bit-identical
+to one clean in-process :class:`~repro.batch.session.BatchSession` fed
+the same batches.  No test bounds wall time; CI hosts are oversubscribed.
+"""
+
+import os
+import queue
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from tests.conftest import model_stream
+
+import repro.serve.supervisor as supervisor_module
+from repro.faults.service import ServiceFaultPlan, WorkerCrash
+from repro.serve import (FleetSupervisor, ServeConfig, build_shard_session,
+                         extract_lane_events)
+from repro.serve.messages import Batch
+from repro.serve.worker import CRASH_EXIT_CODE
+
+N_STREAMS = 6
+STREAM_POOL = 3
+INTERVALS_PER_STREAM = 8
+BATCHES_PER_STREAM = 4
+N_BATCHES = N_STREAMS * BATCHES_PER_STREAM
+
+posix_signals = pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                                   reason="needs POSIX signals")
+
+
+@pytest.fixture(scope="module")
+def fixture_batches():
+    model, _ = model_stream("181.mcf")
+    budget = INTERVALS_PER_STREAM * 2032
+    pool = [model_stream("181.mcf", seed=7 + i)[1].pcs[:budget]
+            for i in range(STREAM_POOL)]
+    batches = {f"stream{i:02d}": [
+        np.asarray(chunk, dtype=np.int64) for chunk in
+        np.array_split(pool[i % STREAM_POOL], BATCHES_PER_STREAM)]
+        for i in range(N_STREAMS)}
+    return model, batches
+
+
+@pytest.fixture(scope="module")
+def oracle(fixture_batches):
+    """Per-stream event sequences from one clean in-process session."""
+    model, batches = fixture_batches
+    streams = tuple(batches)
+    session = build_shard_session(ServeConfig(binary=model.binary), streams)
+    for lane, stream in zip(session.lanes, streams):
+        for chunk in batches[stream]:
+            lane.feed_many(chunk)
+            session.process_ready()
+    events = {stream: extract_lane_events(lane)[0]
+              for lane, stream in zip(session.lanes, streams)}
+    assert any(events.values())
+    return events
+
+
+def make_fleet(model, batches, snapshot_dir, n_shards, faults=None):
+    config = ServeConfig(binary=model.binary, n_shards=n_shards,
+                         snapshot_every=4)
+    return FleetSupervisor(config, list(batches), str(snapshot_dir),
+                           faults=faults)
+
+
+def submit(fleet, batches, indices):
+    for index in indices:
+        for stream, chunks in batches.items():
+            assert fleet.submit(stream, chunks[index])
+
+
+def finish(fleet, batches):
+    """Drain, collect every stream's events, then stop the fleet."""
+    fleet.drain(timeout=60.0)
+    events = {stream: fleet.stream_events(stream) for stream in batches}
+    summary = fleet.summary()
+    return events, summary, fleet.shutdown(graceful=True)
+
+
+class Watch:
+    """Records what the supervisor's waits returned and each respawn saw.
+
+    A respawn is logged with the dead incarnation's sentinel, the result
+    of the supervisor's most recent ``connection.wait``, and the shard's
+    ``repro_serve_worker_up`` gauge at that moment.
+    """
+
+    def __init__(self, fleet, monkeypatch):
+        self.waits = []
+        self.respawns = []
+        real_wait = supervisor_module.wait
+        real_respawn = fleet._respawn
+
+        def recording_wait(handles, timeout=None):
+            ready = real_wait(handles, timeout)
+            self.waits.append(list(ready))
+            return ready
+
+        def recording_respawn(state):
+            up = worker_up(fleet, state.shard_id)
+            last = self.waits[-1] if self.waits else None
+            self.respawns.append((state.process.sentinel, last, up))
+            real_respawn(state)
+
+        monkeypatch.setattr(supervisor_module, "wait", recording_wait)
+        monkeypatch.setattr(fleet, "_respawn", recording_respawn)
+
+
+def worker_up(fleet, shard):
+    return fleet.metrics.gauge("repro_serve_worker_up",
+                               shard=str(shard)).value
+
+
+def stop_holding_reader_lock(process, in_q):
+    """SIGSTOP *process* at a moment it holds *in_q*'s reader lock.
+
+    An idle worker waits inside ``in_q.get()``, which holds the lock
+    while it polls for data and drops it between polls.
+    """
+    lock = in_q._rlock
+    for _ in range(1000):
+        os.kill(process.pid, signal.SIGSTOP)
+        os.waitpid(process.pid, os.WUNTRACED)
+        if not lock.acquire(block=False):
+            return
+        lock.release()
+        os.kill(process.pid, signal.SIGCONT)
+        time.sleep(0.005)  # let it run on to its next poll
+    pytest.fail("the worker never held its queue's reader lock")
+
+
+@pytest.mark.parametrize("before_ack", [False, True])
+def test_one_shard_fleet_recovers_bit_identically(tmp_path, fixture_batches,
+                                                  oracle, monkeypatch,
+                                                  before_ack):
+    # With one shard the dead worker held the only write end of the
+    # only ack pipe: its reader is at end-of-file once the sentinel
+    # fires, and that must read as a death, not as pending messages.
+    # The crash opens the last round, so its batches need the successor,
+    # and the drain starts only after the worker is gone, so its wait
+    # finds both handles ready at once.
+    model, batches = fixture_batches
+    crash = WorkerCrash(shard=0, at_seq=N_BATCHES - N_STREAMS,
+                        before_ack=before_ack)
+    fleet = make_fleet(model, batches, tmp_path, n_shards=1,
+                       faults=ServiceFaultPlan((crash,)))
+    watch = Watch(fleet, monkeypatch)
+    try:
+        fleet.start()
+        assert worker_up(fleet, 0) == 1.0
+        first = fleet._shards[0].process
+        submit(fleet, batches, range(BATCHES_PER_STREAM))
+        first.join(timeout=60.0)
+        assert first.exitcode == CRASH_EXIT_CODE
+        fleet.drain(timeout=60.0)
+        # Draining took the new incarnation's acks, and its
+        # WorkerStarted comes first on its pipe.
+        up_after_drain = worker_up(fleet, 0)
+        events, summary, exit_codes = finish(fleet, batches)
+    except BaseException:
+        fleet.shutdown(graceful=False)
+        raise
+    assert summary["restarts"] == 1
+    [(_, _, up_at_respawn)] = watch.respawns
+    assert up_at_respawn == 0.0
+    assert up_after_drain == 1.0
+    assert summary["divergences"] == 0
+    assert exit_codes == {0: 0}
+    assert events == oracle
+
+
+@posix_signals
+def test_outside_kill_is_seen_through_the_sentinel(tmp_path, fixture_batches,
+                                                   oracle, monkeypatch):
+    # SIGKILL lands where no injected fault does: the worker is idle in
+    # in_q.get(), holding the queue's reader lock, and it never runs its
+    # exit path.  The worker is stopped first, so the second half's
+    # submits see no death: the drain's wait is what sees it die.
+    model, batches = fixture_batches
+    fleet = make_fleet(model, batches, tmp_path, n_shards=2)
+    watch = Watch(fleet, monkeypatch)
+    try:
+        fleet.start()
+        half = BATCHES_PER_STREAM // 2
+        submit(fleet, batches, range(half))
+        fleet.drain(timeout=60.0)
+        victim = fleet._shards[0].process
+        stop_holding_reader_lock(victim, fleet._shards[0].in_q)
+        submit(fleet, batches, range(half, BATCHES_PER_STREAM))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=60.0)
+        assert victim.exitcode == -signal.SIGKILL
+        assert watch.respawns == []
+        events, summary, exit_codes = finish(fleet, batches)
+    except BaseException:
+        fleet.shutdown(graceful=False)
+        raise
+    assert summary["restarts"] == 1
+    [(sentinel, last_wait, _)] = watch.respawns
+    assert sentinel == victim.sentinel
+    assert last_wait is not None and sentinel in last_wait
+    assert summary["divergences"] == 0
+    assert exit_codes == {0: 0, 1: 0}
+    assert events == oracle
+
+
+@posix_signals
+def test_no_respawn_once_shutdown_begins(tmp_path, fixture_batches):
+    model, batches = fixture_batches
+    fleet = make_fleet(model, batches, tmp_path, n_shards=2)
+    try:
+        fleet.start()
+        victim = fleet._shards[1].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=60.0)
+    finally:
+        exit_codes = fleet.shutdown(graceful=True)
+    assert exit_codes == {0: 0, 1: -signal.SIGKILL}
+    assert fleet.summary()["restarts"] == 0
+    assert worker_up(fleet, 1) == 0.0
+
+
+def test_shutdown_reaches_a_worker_blocked_on_its_ack_pipe(
+        tmp_path, fixture_batches, monkeypatch):
+    # Batches go straight onto the input queue and no ack is read, so
+    # the worker fills its ack pipe, blocks in a send and leaves the
+    # queue full.  Shutdown must read the acks before it queues its
+    # message; otherwise the message is dropped and the worker is
+    # still running when the graceful wait ends.
+    model, batches = fixture_batches
+    config = ServeConfig(binary=model.binary, n_shards=1, queue_capacity=8,
+                         dispatch_timeout=5.0)
+    fleet = FleetSupervisor(config, ["stream00"], str(tmp_path))
+    stragglers = []
+    real_reap = fleet._reap
+
+    def recording_reap(timeout):
+        left = real_reap(timeout)
+        stragglers.append(left)
+        return left
+
+    monkeypatch.setattr(fleet, "_reap", recording_reap)
+    samples = np.concatenate(batches["stream00"])
+    try:
+        fleet.start()
+        in_q = fleet._shards[0].in_q
+        for seq in range(len(samples) // 16):
+            try:
+                in_q.put(Batch(seq=seq, stream="stream00", stream_seq=seq,
+                               samples=samples[16 * seq:16 * (seq + 1)]),
+                         timeout=2.0)
+            except queue.Full:
+                break
+        else:
+            pytest.fail("the worker never blocked on its ack pipe")
+    finally:
+        exit_codes = fleet.shutdown(graceful=True, timeout=60.0)
+    assert stragglers[0] == []
+    assert exit_codes == {0: 0}
