@@ -38,6 +38,7 @@ from repro.monitor.region_monitor import IntervalReport, RegionMonitor
 from repro.monitor.watchdog import (RegionWatchdog, WatchdogConfig,
                                     WatchdogEvent)
 from repro.program.binary import SyntheticBinary
+from repro.regions.attribution import attribute_round
 from repro.sampling.events import SampleStream
 from repro.telemetry.bus import EventBus, get_bus
 from repro.telemetry.events import IntervalClosed, SampleBatch
@@ -297,9 +298,11 @@ class BatchSession:
         the shard ring — for a lockstep fleet that is a single 2-D view,
         no copies — and replays the scalar overflow path with the
         per-detector work batched: all GPD rows step in one block call,
-        then all monitors attribute, then every region of every lane
-        steps through the regrouper's cached plan.  Returns the total
-        number of intervals processed.
+        every monitored lane attributes in one
+        :func:`~repro.regions.attribution.attribute_round` call, each
+        monitor accounts and forms regions, then every region of every
+        lane steps through the regrouper's cached plan.  Returns the
+        total number of intervals processed.
         """
         ring = self._ring
         rounds = 0
@@ -323,6 +326,13 @@ class BatchSession:
                         for callback in lane._global_callbacks:
                             callback(event)
 
+            # Every lane has a monitor when the session has a binary, and
+            # none otherwise, so the monitored rows are all rows or none.
+            monitors = [lane.monitor for lane in ready
+                        if lane.monitor is not None]
+            attributed = iter(attribute_round(
+                [monitor.attributor for monitor in monitors],
+                block[:len(monitors)]))
             pendings = []
             participants = []
             for lane, buffer in zip(ready, block):
@@ -337,7 +347,8 @@ class BatchSession:
                     pendings.append(None)
                     continue
                 pending = lane.monitor.begin_interval(
-                    buffer, lane._interval_index)
+                    buffer, lane._interval_index,
+                    attributed=next(attributed))
                 pendings.append(pending)
                 participants.append((lane.monitor, pending))
             outcomes = self._regrouper.observe_round(participants)

@@ -29,7 +29,7 @@ from repro.core.thresholds import MonitorThresholds
 from repro.costs import CostLedger
 from repro.errors import RegionError
 from repro.program.binary import SyntheticBinary
-from repro.regions.attribution import make_attributor
+from repro.regions.attribution import AttributionResult, make_attributor
 from repro.regions.formation import FormationOutcome, RegionFormation
 from repro.regions.pruning import PruningPolicy, RegionActivity
 from repro.regions.region import Region
@@ -287,7 +287,8 @@ class RegionMonitor:
 
     def begin_interval(self, pcs: np.ndarray,
                        interval_index: int | None = None,
-                       miss_flags: np.ndarray | None = None
+                       miss_flags: np.ndarray | None = None,
+                       attributed: AttributionResult | None = None
                        ) -> PendingInterval:
         """Attribute and account one buffer; defer phase detection.
 
@@ -295,7 +296,11 @@ class RegionMonitor:
         the per-region bookkeeping of step 3 (sample counts, cost
         charges, miss rates, activity), and returns the deferred detector
         observations.  ``process_interval`` is exactly ``begin`` +
-        ``observe_pending`` + ``finish``.
+        ``observe_pending`` + ``finish``.  *attributed* is this buffer's
+        result from a round of
+        :func:`~repro.regions.attribution.attribute_round` over this
+        monitor's attributor, which already charged the ledger; without
+        it the monitor attributes the buffer itself.
         """
         self._interval_index = (self._interval_index + 1
                                 if interval_index is None
@@ -310,7 +315,8 @@ class RegionMonitor:
                     f"expected {pcs.size}")
 
         # 1. Distribute samples (cost charged by the attributor).
-        result = self.attributor.attribute(pcs)
+        result = (attributed if attributed is not None
+                  else self.attributor.attribute(pcs))
 
         # 2. UCR accounting and formation trigger.
         formation_outcome: FormationOutcome | None = None
@@ -333,7 +339,7 @@ class RegionMonitor:
         new_rids = set()
         if formation_outcome is not None:
             new_rids = {r.rid for r in formation_outcome.new_regions}
-        for region in self.registry.regions():
+        for region in self.registry:
             rid = region.rid
             if rid in new_rids:
                 continue

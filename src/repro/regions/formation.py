@@ -107,9 +107,9 @@ class RegionFormation:
                                    return_counts=True)
         threshold = self.hot_fraction * ucr_pcs.size
         order = np.argsort(counts)[::-1]
-        seeds = [int(unique[i]) for i in order
-                 if counts[i] >= max(threshold, 1.0)]
-        return seeds[:self.max_seeds]
+        hot = order[counts[order] >= max(threshold, 1.0)]
+        seeds: list[int] = unique[hot[:self.max_seeds]].tolist()
+        return seeds
 
     def form(self, ucr_pcs: np.ndarray,
              interval_index: int = -1) -> FormationOutcome:

@@ -87,7 +87,6 @@ class IntervalTree:
         self._intervals = resolved
         self._root = _build(list(resolved))
         self._boundaries: np.ndarray | None = None
-        self._segment_stabs: dict[int, tuple[list[int], int]] = {}
         #: Comparisons performed by the most recent query (cost probe).
         self.last_query_cost = 0
 
@@ -170,20 +169,14 @@ class IntervalTree:
     def segment_stab(self, segment: int) -> tuple[list[int], int]:
         """``(payloads, query_cost)`` shared by every point of a segment.
 
-        Evaluated by stabbing one representative point and memoized (the
-        tree is immutable), so repeated batch queries pay for each distinct
-        segment once regardless of how many points land in it.
+        Evaluated by stabbing one representative point of the segment.
         """
-        cached = self._segment_stabs.get(segment)
-        if cached is None:
-            boundaries = self.stab_boundaries()
-            representative = (int(boundaries[segment - 1]) if segment > 0
-                              else int(boundaries[0]) - 1
-                              if boundaries.size else 0)
-            hits = self.stab(representative)
-            cached = (hits, self.last_query_cost)
-            self._segment_stabs[segment] = cached
-        return cached
+        boundaries = self.stab_boundaries()
+        representative = (int(boundaries[segment - 1]) if segment > 0
+                          else int(boundaries[0]) - 1
+                          if boundaries.size else 0)
+        hits = self.stab(representative)
+        return hits, self.last_query_cost
 
     def stab_naive(self, point: int) -> list[int]:
         """Linear-scan oracle used by the tests and the list cost model."""

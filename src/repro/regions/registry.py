@@ -4,7 +4,8 @@ Regions may overlap (an inner and an outer loop can both be monitored; the
 paper notes that overlapping regions make its region charts stack above the
 buffer size because a sample increments every containing region).  The
 registry is versioned so attribution strategies know when to rebuild their
-acceleration structures.
+acceleration structures; its own rid-ordered view is keyed on that version
+too, so the per-interval queries never re-sort.
 """
 
 from __future__ import annotations
@@ -18,10 +19,19 @@ from repro.regions.region import Region, RegionKind
 class RegionRegistry:
     """Mutable set of monitored regions with stable integer ids."""
 
+    #: ``(version, live regions in rid order)`` as of the last query;
+    #: derived state, so it is never pickled.
+    _ordered: tuple[int, tuple[Region, ...]] | None = None
+
     def __init__(self) -> None:
         self._regions: dict[int, Region] = {}
         self._next_rid = 0
         self._version = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_ordered", None)
+        return state
 
     # -- mutation ---------------------------------------------------------
 
@@ -83,7 +93,7 @@ class RegionRegistry:
         return len(self._regions)
 
     def __iter__(self) -> Iterator[Region]:
-        return iter(sorted(self._regions.values(), key=lambda r: r.rid))
+        return iter(self._by_rid())
 
     def __contains__(self, rid: int) -> bool:
         return rid in self._regions
@@ -95,13 +105,20 @@ class RegionRegistry:
         except KeyError:
             raise RegionError(f"no region with id {rid}") from None
 
+    def _by_rid(self) -> tuple[Region, ...]:
+        ordered = self._ordered
+        if ordered is None or ordered[0] != self._version:
+            ordered = self._ordered = (self._version, tuple(
+                sorted(self._regions.values(), key=lambda r: r.rid)))
+        return ordered[1]
+
     def regions(self) -> list[Region]:
         """All live regions, ordered by id (formation order)."""
-        return sorted(self._regions.values(), key=lambda r: r.rid)
+        return list(self._by_rid())
 
     def covering(self, address: int) -> list[Region]:
         """All live regions containing *address* (linear scan)."""
-        return [r for r in self.regions() if r.contains(address)]
+        return [r for r in self._by_rid() if r.start <= address < r.end]
 
     def has_span(self, start: int, end: int) -> bool:
         """Whether the exact span is already monitored."""

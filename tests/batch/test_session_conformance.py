@@ -2,9 +2,10 @@
 
 Each lane of a BatchSession must be indistinguishable from a standalone
 OnlineSession fed the same samples — reports, region/detector state,
-watchdog verdicts, GPD trajectory and the complete per-lane telemetry
-stream — regardless of how many other lanes advance beside it, which
-fault plans degrade them, or how raggedly the padded feed arrives.
+cost ledger, watchdog verdicts, GPD trajectory and the complete per-lane
+telemetry stream — regardless of how many other lanes advance beside
+it, which attribution strategy they use, which fault plans degrade them,
+or how raggedly the padded feed arrives.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.batch import BatchSession
 from repro.core.thresholds import MonitorThresholds
 from repro.errors import SamplingError
+from repro.faults import FaultPlan, PcBitCorruption
 from repro.faults.inject import inject
 from repro.monitor.online import OnlineSession
 from repro.monitor.watchdog import WatchdogConfig
@@ -70,6 +72,7 @@ def assert_lane_matches_scalar(scalar, lane, scalar_sink, lane_sink):
             == lane_monitor.phase_change_counts()
         assert scalar_monitor.stable_time_fractions() \
             == lane_monitor.stable_time_fractions()
+        assert scalar_monitor.ledger == lane_monitor.ledger
     if scalar.gpd is not None:
         assert scalar.gpd.state == lane.gpd.state
         assert scalar.gpd.events == lane.gpd.events
@@ -79,36 +82,52 @@ def assert_lane_matches_scalar(scalar, lane, scalar_sink, lane_sink):
     assert scalar.summary() == lane.summary()
 
 
+def assert_fleet_matches_scalar_twins(model, streams, plans, **kwargs):
+    """Run every stream both as a scalar session and as one lane of a
+    single fleet (same fault plans, same session options) and compare
+    each lane with its twin."""
+    scalar_sessions, scalar_sinks = [], []
+    for stream, plan in zip(streams, plans):
+        bus, sink = traced_bus()
+        session = OnlineSession(binary=model.binary,
+                                monitor_thresholds=THRESHOLDS,
+                                telemetry=bus, **kwargs)
+        faulted = inject(stream, plan, seed=7) if plan else stream
+        session.feed_stream(faulted)
+        scalar_sessions.append(session)
+        scalar_sinks.append(sink)
+
+    batch = BatchSession(binary=model.binary,
+                         monitor_thresholds=THRESHOLDS, **kwargs)
+    lane_sinks = []
+    for stream, plan in zip(streams, plans):
+        bus, sink = traced_bus()
+        batch.add_lane(stream=stream, plan=plan, seed=7, telemetry=bus)
+        lane_sinks.append(sink)
+    batch.run()
+
+    for scalar, lane, s_sink, l_sink in zip(
+            scalar_sessions, batch.lanes, scalar_sinks, lane_sinks):
+        assert_lane_matches_scalar(scalar, lane, s_sink, l_sink)
+
+
 class TestMultiLaneFleet:
     def test_faulted_watchdogged_fleet_matches_scalar_twins(self):
         model, streams = lane_streams(4)
         plans = [None, drop_plan(0.2, 4.0), None, drop_plan(0.1, 2.0)]
-        watchdog = WatchdogConfig()
+        assert_fleet_matches_scalar_twins(model, streams, plans,
+                                          watchdog=WatchdogConfig())
 
-        scalar_sessions, scalar_sinks = [], []
-        for stream, plan in zip(streams, plans):
-            bus, sink = traced_bus()
-            session = OnlineSession(binary=model.binary,
-                                    monitor_thresholds=THRESHOLDS,
-                                    watchdog=watchdog, telemetry=bus)
-            faulted = inject(stream, plan, seed=7) if plan else stream
-            session.feed_stream(faulted)
-            scalar_sessions.append(session)
-            scalar_sinks.append(sink)
-
-        batch = BatchSession(binary=model.binary,
-                             monitor_thresholds=THRESHOLDS,
-                             watchdog=watchdog)
-        lane_sinks = []
-        for stream, plan in zip(streams, plans):
-            bus, sink = traced_bus()
-            batch.add_lane(stream=stream, plan=plan, seed=7, telemetry=bus)
-            lane_sinks.append(sink)
-        batch.run()
-
-        for scalar, lane, s_sink, l_sink in zip(
-                scalar_sessions, batch.lanes, scalar_sinks, lane_sinks):
-            assert_lane_matches_scalar(scalar, lane, s_sink, l_sink)
+    @pytest.mark.parametrize("attribution", ["list", "tree"])
+    def test_attribution_strategies_match_scalar_twins(self, attribution):
+        # Corrupted PCs leave the text range or lose their alignment, so
+        # the round kernel sees PCs outside every span next to clean lanes.
+        model, streams = lane_streams(6)
+        corrupt = FaultPlan((PcBitCorruption(rate=0.05, bit_width=20),))
+        plans = [None, drop_plan(0.2, 4.0), corrupt, None,
+                 drop_plan(0.1, 2.0), corrupt]
+        assert_fleet_matches_scalar_twins(model, streams, plans,
+                                          attribution=attribution)
 
     def test_gpd_only_lanes(self):
         _, streams = lane_streams(1)

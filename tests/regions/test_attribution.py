@@ -1,12 +1,14 @@
 """Unit tests for the sample-to-region attribution strategies."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.costs import CostLedger
 from repro.regions.attribution import (ListAttributor, ScalarListAttributor,
                                        ScalarTreeAttributor, TreeAttributor,
-                                       make_attributor)
+                                       attribute_round, make_attributor)
 from repro.regions.registry import RegionRegistry
 
 
@@ -77,6 +79,62 @@ class TestAttributionCorrectness:
             assert np.array_equal(counts, tree_result.region_counts[rid])
         assert np.array_equal(np.sort(list_result.ucr_pcs),
                               np.sort(tree_result.ucr_pcs))
+
+
+class TestOddPcs:
+    @pytest.mark.parametrize("strategy", ["list", "tree"])
+    def test_outside_and_unaligned_pcs_land_like_the_oracle(self, strategy):
+        registry = registry_with((0x1000, 0x1010), (0x1008, 0x1010),
+                                 (0x2002, 0x200a))
+        pcs = np.array([-8, 0, 0xfff, 0x1001, 0x1003, 0x100b, 0x1010,
+                        0x2002, 0x2005, 0x2009, 0x200a, 1 << 40])
+        result = make_attributor(strategy, registry).attribute(pcs)
+        oracle = make_attributor(f"{strategy}-scalar",
+                                 registry).attribute(pcs)
+        assert list(result.ucr_pcs) == list(oracle.ucr_pcs) \
+            == [-8, 0, 0xfff, 0x1010, 0x200a, 1 << 40]
+        assert list(result.region_counts[0]) == [2, 0, 1, 0]
+        assert list(result.region_counts[2]) == [2, 1]
+        for rid, counts in oracle.region_counts.items():
+            assert np.array_equal(result.region_counts[rid], counts)
+
+    def test_reference_attributors_cannot_join_a_round(self):
+        registry = registry_with((0x1000, 0x1010))
+        with pytest.raises(TypeError, match="segment table"):
+            attribute_round([ScalarListAttributor(registry)],
+                            np.array([[0x1000]]))
+
+
+class TestPickleHygiene:
+    """Segment tables and the registry's order are derived state: they
+    are rebuilt after a restore, never carried in a pickle."""
+
+    def test_registry_pickle_carries_no_order_cache(self):
+        registry = registry_with((0x2000, 0x2010), (0x1000, 0x1010))
+        cold = pickle.dumps(registry)
+        assert [r.rid for r in registry.regions()] == [0, 1]
+        assert registry.covering(0x1004)[0].rid == 1
+        assert pickle.dumps(registry) == cold
+        restored = pickle.loads(cold)
+        assert restored.regions() == registry.regions()
+        assert list(restored) == registry.regions()
+
+    @pytest.mark.parametrize("strategy", ["list", "tree"])
+    def test_attributor_pickle_carries_no_table(self, strategy):
+        registry = registry_with((0x1000, 0x1010), (0x1004, 0x100c))
+        attributor = make_attributor(strategy, registry, CostLedger())
+        pcs = np.array([0x1004, 0x1008, 0x3000])
+        attributor.attribute(pcs)
+        blob = pickle.dumps(attributor)
+        assert b"SegmentTable" not in blob
+        restored = pickle.loads(blob)
+        assert "_table" not in vars(restored)
+        # The restored twin rebuilds its table without charging a second
+        # tree build, and attributes exactly like the original.
+        again, twin = attributor.attribute(pcs), restored.attribute(pcs)
+        assert again.region_totals == twin.region_totals
+        assert list(again.ucr_pcs) == list(twin.ucr_pcs)
+        assert attributor.ledger == restored.ledger
 
 
 class TestCostCharging:

@@ -4,12 +4,16 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.batch import BatchSession
+from repro.core.thresholds import MonitorThresholds
 from repro.errors import SnapshotError
+from repro.serve.events import extract_lane_events
 from repro.serve.snapshot import (SNAPSHOT_FIELDS, SNAPSHOT_MAGIC,
                                   SNAPSHOT_VERSION, ShardSnapshot,
                                   SnapshotStore, decode_snapshot,
                                   encode_snapshot, read_snapshot,
                                   write_snapshot)
+from tests.conftest import model_stream
 
 
 def make_snapshot(shard_id=0, applied_through=10, payload="state"):
@@ -145,3 +149,52 @@ class TestStore:
     def test_keep_below_one_is_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="keep"):
             SnapshotStore(tmp_path, shard_id=0, keep=0)
+
+
+class TestSessionRestore:
+    """A snapshot carries no derived attribution state (segment tables,
+    registry order), and a session restored between two rounds steps
+    the next one exactly like a twin that was never pickled."""
+
+    @pytest.mark.parametrize("attribution", ["list", "tree"])
+    def test_restored_session_steps_next_round_bit_identically(
+            self, attribution):
+        model, stream = model_stream("181.mcf")
+        size = 504
+
+        def fleet():
+            session = BatchSession(
+                binary=model.binary,
+                monitor_thresholds=MonitorThresholds(buffer_size=size),
+                attribution=attribution)
+            for index in range(3):
+                session.add_lane(name=f"s{index}")
+            return session
+
+        def feed(session, first, last):
+            for index, lane in enumerate(session.lanes):
+                base = index * 40 * size
+                lane.feed_many(stream.pcs[base + first * size:
+                                          base + last * size])
+            session.process_ready()
+
+        kept, pickled = fleet(), fleet()
+        feed(kept, 0, 12)
+        feed(pickled, 0, 12)
+        blob = encode_snapshot(ShardSnapshot(
+            shard_id=0, applied_through=-1, stream_seqs={}, stash={},
+            event_cursors={}, lane_names=("s0", "s1", "s2"),
+            session=pickled))
+        assert b"SegmentTable" not in blob
+        restored = decode_snapshot(blob).session
+        feed(kept, 12, 13)
+        feed(restored, 12, 13)
+        for mine, twin in zip(restored.lanes, kept.lanes):
+            assert extract_lane_events(mine) == extract_lane_events(twin)
+            assert mine.monitor.ledger == twin.monitor.ledger
+            assert mine.monitor.registry.regions() \
+                == twin.monitor.registry.regions()
+            last, reference = mine.reports[-1], twin.reports[-1]
+            assert last.interval_index == reference.interval_index == 12
+            assert last.ucr_fraction == reference.ucr_fraction
+            assert last.region_samples == reference.region_samples
