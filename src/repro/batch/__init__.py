@@ -14,17 +14,16 @@ The contract is strict bit-equality with the scalar path: identical
 phase-change indices, state trajectories, stable-set freezes and
 deoptimization events, enforced by the differential conformance suite in
 ``tests/batch/``.  The batch backend is an optimization, never a semantic
-fork — any future backend must pass the same suite before it may share
-cache entries with the scalar oracle (see
-``repro.experiments.base._backend_token``).
+fork: the scalar pipeline stays the oracle it is compared against.
 
 Entry points:
 
-* :class:`BatchSession` — N :class:`~repro.monitor.online.OnlineSession`
-  -equivalent pipelines fed via padded sample batches, with per-lane
-  fault plans and telemetry buses;
-* ``backend="batch"`` on :func:`repro.experiments.base.monitored_run` /
-  :func:`~repro.experiments.base.gpd_run`;
+* :class:`BatchSession` — the engine's one driver: N
+  :class:`~repro.monitor.online.OnlineSession`-equivalent pipelines, each
+  added with :meth:`~BatchSession.add_lane`, fed with
+  :meth:`~BatchLane.feed_many` / :meth:`~BatchLane.feed_stream` and
+  advanced in lockstep by :meth:`~BatchSession.process_ready`, with
+  per-lane telemetry buses;
 * the low-level :class:`BatchLpdBank` / :class:`BatchGpdBank` for custom
   harnesses, with :class:`LpdRowGroup` / :class:`GpdRowGroup` pinning
   fixed populations onto the compiled block-stepping fast path,
@@ -39,7 +38,6 @@ from repro.batch.lpd import (BatchLocalPhaseDetector, BatchLpdBank,
                              LpdRowGroup)
 from repro.batch.regroup import FleetRegrouper
 from repro.batch.rings import ShardRing
-from repro.batch.run import process_stream_batch, run_gpd_batch
 from repro.batch.session import BatchLane, BatchSession
 
 __all__ = [
@@ -53,6 +51,4 @@ __all__ = [
     "GpdRowGroup",
     "LpdRowGroup",
     "ShardRing",
-    "process_stream_batch",
-    "run_gpd_batch",
 ]

@@ -95,8 +95,7 @@ class FleetRegrouper:
     """Plan-caching driver for stepping many monitors' detectors at once.
 
     One regrouper per shared bank per harness (a
-    :class:`~repro.batch.session.BatchSession` owns one; so does each
-    :func:`~repro.batch.run.process_stream_batch` call).  Thread the
+    :class:`~repro.batch.session.BatchSession` owns one).  Thread the
     *same* regrouper through consecutive rounds — the cached plan is
     where the speedup lives.
     """

@@ -1,8 +1,9 @@
 """Multi-tenant online sessions advanced in lockstep.
 
-A :class:`BatchSession` hosts N lanes, each the equivalent of one
+A :class:`BatchSession` is the batch engine's one driver.  It hosts N
+lanes, each the equivalent of one
 :class:`~repro.monitor.online.OnlineSession` — its own telemetry bus,
-region monitor, watchdog, fault-injected stream and callbacks — but all
+region monitor, watchdog, sample queue and callbacks — but all
 local detectors live in one shared :class:`~repro.batch.lpd.BatchLpdBank`
 and all global detectors in one :class:`~repro.batch.gpd.BatchGpdBank`,
 so every interval round steps the whole fleet with a handful of
@@ -31,8 +32,6 @@ from repro.batch.rings import ShardRing
 from repro.core.states import PhaseEvent
 from repro.core.thresholds import GpdThresholds, MonitorThresholds
 from repro.errors import SamplingError
-from repro.faults.inject import inject
-from repro.faults.model import FaultPlan
 from repro.monitor.online import GlobalChangeCallback, LocalChangeCallback
 from repro.monitor.region_monitor import IntervalReport, RegionMonitor
 from repro.monitor.watchdog import (RegionWatchdog, WatchdogConfig,
@@ -61,8 +60,7 @@ class BatchLane:
 
     Create via :meth:`BatchSession.add_lane`.  Feeding only queues
     samples; intervals complete when the owning session next runs
-    :meth:`BatchSession.process_ready` (which the session-level feed
-    helpers call for you).
+    :meth:`BatchSession.process_ready` (or :meth:`BatchSession.run`).
     """
 
     def __init__(self, session: "BatchSession", index: int, name: str,
@@ -203,17 +201,12 @@ class BatchSession:
 
     # -- lane management -----------------------------------------------------
 
-    def add_lane(self, stream: SampleStream | None = None,
-                 plan: FaultPlan | None = None, seed: int = 7,
-                 telemetry: EventBus | None = None,
+    def add_lane(self, telemetry: EventBus | None = None,
                  name: str | None = None) -> BatchLane:
-        """Add one pipeline; optionally queue its (fault-injected) stream.
+        """Add one empty pipeline; feed it through the returned lane.
 
-        *plan* is applied to *stream* with :func:`repro.faults.inject`
-        before queueing — per-lane fault plans, exactly as a scalar
-        harness would inject per session.  *telemetry* defaults to the
-        session bus; give each lane its own bus when per-lane traces
-        matter.
+        *telemetry* defaults to the session bus; give each lane its own
+        bus when per-lane traces matter.
         """
         index = len(self.lanes)
         bus = telemetry if telemetry is not None else self._default_bus
@@ -235,38 +228,9 @@ class BatchSession:
         lane = BatchLane(self, index, name, bus, gpd, monitor, watchdog)
         self.lanes.append(lane)
         self._ring.add_lane()
-        if stream is not None:
-            if plan is not None and not plan.is_empty:
-                stream = inject(stream, plan, seed=seed)
-            lane.feed_stream(stream)
         return lane
 
-    # -- feeding -------------------------------------------------------------
-
-    def feed(self, padded: np.ndarray,
-             lengths: np.ndarray | list[int] | None = None) -> list[int]:
-        """Deliver one padded sample batch to every lane, then process.
-
-        *padded* is ``(n_lanes, k)``; row i's first ``lengths[i]``
-        entries are lane i's samples (the rest is padding, never read).
-        A length of zero skips the lane this round — the ragged-fleet
-        case where a stream has ended or produced nothing.  Returns the
-        number of intervals each lane completed.
-        """
-        padded = np.asarray(padded)
-        if padded.ndim != 2 or padded.shape[0] != len(self.lanes):
-            raise SamplingError(
-                f"feed expects a ({len(self.lanes)}, k) padded batch, "
-                f"got shape {padded.shape}")
-        if lengths is None:
-            lengths = [padded.shape[1]] * len(self.lanes)
-        before = [lane.stats.intervals for lane in self.lanes]
-        for lane, row, length in zip(self.lanes, padded, lengths):
-            if length:
-                lane.feed_many(row[:int(length)])
-        self.process_ready()
-        return [lane.stats.intervals - count
-                for lane, count in zip(self.lanes, before)]
+    # -- the lockstep overflow path -------------------------------------------
 
     def run(self) -> list[int]:
         """Process everything queued; returns per-lane interval counts."""
@@ -274,8 +238,6 @@ class BatchSession:
         self.process_ready()
         return [lane.stats.intervals - count
                 for lane, count in zip(self.lanes, before)]
-
-    # -- the lockstep overflow path -------------------------------------------
 
     def _gpd_group_for(self, ready_indices: np.ndarray) -> GpdRowGroup:
         """The pinned GPD row group for this round's ready lanes, cached.

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import run_gpd
 from repro.analysis.tables import format_table
-from repro.batch.lpd import BatchLpdBank
-from repro.batch.run import batch_monitor, process_stream_batch, run_gpd_batch
 from repro.core import MonitorThresholds
 from repro.core.gpd import GlobalPhaseDetector
-from repro.errors import ConfigError
 from repro.experiments.cache import GLOBAL_CACHE, GpdKey, MonitorKey, StreamKey
 from repro.experiments.config import ExperimentConfig
 from repro.faults.inject import inject
@@ -30,32 +27,12 @@ from repro.program.spec2000 import BenchmarkModel, get_benchmark
 from repro.sampling import SampleStream, simulate_sampling
 from repro.telemetry.bus import EventBus
 
-#: Execution backends accepted by :func:`gpd_run` / :func:`monitored_run`.
-BACKENDS = ("scalar", "batch")
-
-#: Result-equivalence classes for cache keys.  The batch backend maps to
-#: the canonical ``"scalar"`` class because the differential conformance
-#: suite (``tests/batch/``) proves it bit-identical — result-identical
-#: backends share cache entries *only* once such a proof gates them; a
-#: new backend must keep its own token until its suite is green.
-_BACKEND_CLASS = {"scalar": "scalar", "batch": "scalar"}
-
 
 def _fault_token(plan: FaultPlan | None) -> tuple:
     """Cache-key component for a fault plan (empty: ideal stream)."""
     if plan is None or plan.is_empty:
         return ()
     return plan.token()
-
-
-def _backend_token(backend: str) -> str:
-    """Cache-key component for an execution backend (validates it too)."""
-    try:
-        return _BACKEND_CLASS[backend]
-    except KeyError:
-        raise ConfigError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}") from None
 
 
 @dataclass(frozen=True)
@@ -168,8 +145,7 @@ def trace_gpd_run(profile: TraceProfile, period: int,
 def gpd_run(model: BenchmarkModel, period: int,
             config: ExperimentConfig,
             plan: FaultPlan | None = None,
-            telemetry: EventBus | None = None,
-            backend: str = "scalar") -> GlobalPhaseDetector:
+            telemetry: EventBus | None = None) -> GlobalPhaseDetector:
     """Run the global phase detector over one benchmark stream (cached).
 
     The returned detector is a shared, completed run — read-only.
@@ -177,21 +153,14 @@ def gpd_run(model: BenchmarkModel, period: int,
     :func:`~repro.analysis.metrics.run_gpd` directly with their ledger.
     *telemetry* (``None``: the process-wide bus) is result-inert and
     deliberately not part of the key; a cache hit emits a ``CacheHit``
-    instead of re-playing the run's events.  *backend* selects the
-    execution engine; bit-identical backends share cache entries, so a
-    ``"batch"`` request may return a detector the scalar engine computed
-    (and vice versa) — by contract the results are indistinguishable.
+    instead of re-playing the run's events.
     """
     key = GpdKey(benchmark=model.name, scale=config.scale, period=period,
                  seed=config.seed, buffer_size=config.buffer_size,
-                 faults=_fault_token(plan),
-                 backend=_backend_token(backend))
+                 faults=_fault_token(plan))
 
     def compute():
         stream = stream_for(model, period, config, plan)
-        if backend == "batch":
-            return run_gpd_batch([stream], config.buffer_size,
-                                 telemetry=[telemetry])[0]
         return run_gpd(stream, config.buffer_size, telemetry=telemetry)
 
     return GLOBAL_CACHE.detector(key, compute)
@@ -201,31 +170,21 @@ def monitored_run(model: BenchmarkModel, period: int,
                   config: ExperimentConfig,
                   attribution: str = "list",
                   plan: FaultPlan | None = None,
-                  telemetry: EventBus | None = None,
-                  backend: str = "scalar") -> RegionMonitor:
+                  telemetry: EventBus | None = None) -> RegionMonitor:
     """Run a region monitor over one benchmark stream (cached).
 
     The returned monitor is a shared, completed run — read-only.
     *telemetry* (``None``: the process-wide bus) is result-inert and
-    deliberately not part of the key.  *backend* follows the same
-    equivalence-class rule as :func:`gpd_run`.
+    deliberately not part of the key.
     """
     key = MonitorKey(benchmark=model.name, scale=config.scale,
                      period=period, seed=config.seed,
                      buffer_size=config.buffer_size,
-                     attribution=attribution, faults=_fault_token(plan),
-                     backend=_backend_token(backend))
+                     attribution=attribution, faults=_fault_token(plan))
 
     def compute() -> RegionMonitor:
         stream = stream_for(model, period, config, plan)
         thresholds = MonitorThresholds(buffer_size=config.buffer_size)
-        if backend == "batch":
-            bank = BatchLpdBank()
-            monitor = batch_monitor(model.binary, bank, thresholds,
-                                    attribution=attribution,
-                                    telemetry=telemetry)
-            process_stream_batch([(monitor, stream)], bank)
-            return monitor
         monitor = RegionMonitor(model.binary, thresholds,
                                 attribution=attribution,
                                 telemetry=telemetry)

@@ -78,14 +78,7 @@ class StreamKey:
 
 @dataclass(frozen=True, slots=True)
 class MonitorKey:
-    """Identity of one completed region-monitor run.
-
-    ``backend`` is the *result-equivalence class* of the execution
-    backend, not the backend itself: backends the conformance suite
-    proves bit-identical map to the same token (see
-    :func:`repro.experiments.base._backend_token`), so they share
-    entries by construction.
-    """
+    """Identity of one completed region-monitor run."""
 
     benchmark: str
     scale: float
@@ -94,17 +87,12 @@ class MonitorKey:
     buffer_size: int
     attribution: str
     faults: tuple = ()
-    backend: str = "scalar"
     trace: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
 class GpdKey:
-    """Identity of one completed global-phase-detector run.
-
-    ``backend`` follows the same equivalence-class rule as
-    :class:`MonitorKey`.
-    """
+    """Identity of one completed global-phase-detector run."""
 
     benchmark: str
     scale: float
@@ -112,7 +100,6 @@ class GpdKey:
     seed: int
     buffer_size: int
     faults: tuple = ()
-    backend: str = "scalar"
     trace: tuple = ()
 
 

@@ -1,10 +1,11 @@
 """Differential conformance: BatchGpdBank vs the scalar GPD oracle.
 
-Random centroid tracks (tight clusters, wild jumps, NaN gaps), random
-buffer sizes (starvation path) and real benchmark streams of unequal
-length (the ragged population) advance through both paths; every
-observable — states, bands, drift ratios, events, observations, cost
-charges and the full telemetry stream — must match exactly.
+Random centroid tracks (tight clusters, wild jumps, NaN gaps) and random
+buffer sizes (starvation path) advance through both paths; every
+observable — states, bands, drift ratios, events, observations and the
+full telemetry stream — must match exactly.  Real benchmark streams of
+unequal length (the ragged population) run as GPD-only ``BatchSession``
+lanes in ``test_session_conformance.py``.
 """
 
 import numpy as np
@@ -12,16 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import run_gpd
 from repro.batch.gpd import BatchGpdBank
-from repro.batch.run import run_gpd_batch
 from repro.core.gpd import GlobalPhaseDetector
 from repro.core.thresholds import GpdThresholds
-from repro.costs import CostLedger
 from repro.errors import ConfigError
 from repro.telemetry.bus import EventBus
 from repro.telemetry.sinks import InMemorySink
-from tests.conftest import model_stream
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -126,22 +123,3 @@ class TestBankConformance:
         with pytest.raises(ConfigError, match="dwell"):
             bank.add_detector(GpdThresholds(dwell_intervals=5))
 
-
-class TestRunGpdBatch:
-    def test_ragged_real_streams_match_scalar(self):
-        # three real streams of different lengths: the longest keeps
-        # stepping after the others end
-        names = ["181.mcf", "164.gzip", "178.galgel"]
-        streams = [model_stream(name, 0.05, 45_000, seed=9 + i)[1]
-                   for i, name in enumerate(names)]
-        buffer_size = 1016
-        batch_ledgers = [CostLedger() for _ in streams]
-        views = run_gpd_batch(streams, buffer_size, ledgers=batch_ledgers)
-        for stream, view, ledger in zip(streams, views, batch_ledgers):
-            scalar_ledger = CostLedger()
-            scalar = run_gpd(stream, buffer_size, ledger=scalar_ledger)
-            assert_detectors_identical(scalar, view)
-            assert scalar_ledger.total_ops == ledger.total_ops
-
-    def test_empty_population(self):
-        assert run_gpd_batch([], 1016) == []

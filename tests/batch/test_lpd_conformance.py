@@ -4,8 +4,6 @@ Random detector populations (mixed histogram widths, missing intervals,
 starved intervals, flat histograms, resets) advance through both paths
 in lockstep; every observable — states, r-values, events, observations,
 stable-set bytes and the full telemetry stream — must match exactly.
-This suite is the gate that lets the batch backend share cache entries
-with the scalar path (`repro.experiments.base._BACKEND_CLASS`).
 """
 
 import numpy as np

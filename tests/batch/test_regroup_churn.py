@@ -21,7 +21,6 @@ the original.
 import pickle
 from types import SimpleNamespace
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,10 +107,11 @@ class TestChurnedFleet:
 
         for round_index in range(n_rounds):
             lo, hi = round_index * CHUNK, (round_index + 1) * CHUNK
-            padded = np.stack([pcs[lo:hi] for pcs in feeds])
-            for scalar, pcs in zip(scalar_sessions, feeds):
+            for scalar, lane, pcs in zip(scalar_sessions, batch.lanes,
+                                         feeds):
                 scalar.feed_many(pcs[lo:hi])
-            batch.feed(padded)
+                lane.feed_many(pcs[lo:hi])
+            batch.process_ready()
             # mutate between rounds: the cached plan must either survive
             # (resets) or rebuild (membership changes), never diverge
             lane = data.draw(
@@ -146,8 +146,9 @@ class TestPlanFreePickle:
 
         def step(target, rounds):
             for r in rounds:
-                target.feed(np.stack([pcs[r * CHUNK:(r + 1) * CHUNK]
-                                      for pcs in feeds]))
+                for lane, pcs in zip(target.lanes, feeds):
+                    lane.feed_many(pcs[r * CHUNK:(r + 1) * CHUNK])
+                target.process_ready()
 
         step(session, range(n_rounds // 2))
         assert session._regrouper._plan is not None

@@ -5,7 +5,7 @@ OnlineSession fed the same samples — reports, region/detector state,
 cost ledger, watchdog verdicts, GPD trajectory and the complete per-lane
 telemetry stream — regardless of how many other lanes advance beside
 it, which attribution strategy they use, which fault plans degrade them,
-or how raggedly the padded feed arrives.
+or how raggedly the feed arrives.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.metrics import run_gpd
 from repro.batch import BatchSession
 from repro.core.thresholds import MonitorThresholds
 from repro.errors import SamplingError
@@ -22,6 +23,7 @@ from repro.monitor.online import OnlineSession
 from repro.monitor.watchdog import WatchdogConfig
 from repro.telemetry.bus import EventBus
 from repro.telemetry.sinks import InMemorySink
+from tests.batch.test_gpd_conformance import assert_detectors_identical
 from tests.conftest import drop_plan, model_stream
 
 THRESHOLDS = MonitorThresholds(buffer_size=504)
@@ -86,23 +88,24 @@ def assert_fleet_matches_scalar_twins(model, streams, plans, **kwargs):
     """Run every stream both as a scalar session and as one lane of a
     single fleet (same fault plans, same session options) and compare
     each lane with its twin."""
+    feeds = [inject(stream, plan, seed=7) if plan else stream
+             for stream, plan in zip(streams, plans)]
     scalar_sessions, scalar_sinks = [], []
-    for stream, plan in zip(streams, plans):
+    for feed in feeds:
         bus, sink = traced_bus()
         session = OnlineSession(binary=model.binary,
                                 monitor_thresholds=THRESHOLDS,
                                 telemetry=bus, **kwargs)
-        faulted = inject(stream, plan, seed=7) if plan else stream
-        session.feed_stream(faulted)
+        session.feed_stream(feed)
         scalar_sessions.append(session)
         scalar_sinks.append(sink)
 
     batch = BatchSession(binary=model.binary,
                          monitor_thresholds=THRESHOLDS, **kwargs)
     lane_sinks = []
-    for stream, plan in zip(streams, plans):
+    for feed in feeds:
         bus, sink = traced_bus()
-        batch.add_lane(stream=stream, plan=plan, seed=7, telemetry=bus)
+        batch.add_lane(telemetry=bus).feed_stream(feed)
         lane_sinks.append(sink)
     batch.run()
 
@@ -129,6 +132,13 @@ class TestMultiLaneFleet:
         assert_fleet_matches_scalar_twins(model, streams, plans,
                                           attribution=attribution)
 
+    def test_region_heavy_lanes_of_unequal_length(self):
+        # 176.gcc forms hundreds of regions; its two sampling periods give
+        # one fleet a long lane and a short one.
+        model, fast = model_stream("176.gcc", 0.05, 30_000)
+        _, slow = model_stream("176.gcc", 0.05, 60_000)
+        assert_fleet_matches_scalar_twins(model, [fast, slow], [None, None])
+
     def test_gpd_only_lanes(self):
         _, streams = lane_streams(1)
         scalar_bus, scalar_sink = traced_bus()
@@ -140,9 +150,28 @@ class TestMultiLaneFleet:
         lane_bus, lane_sink = traced_bus()
         batch = BatchSession(binary=None, run_gpd=True,
                              monitor_thresholds=THRESHOLDS)
-        lane = batch.add_lane(stream=streams[0], telemetry=lane_bus)
+        lane = batch.add_lane(telemetry=lane_bus)
+        lane.feed_stream(streams[0])
         batch.run()
         assert_lane_matches_scalar(scalar, lane, scalar_sink, lane_sink)
+
+    def test_ragged_gpd_only_lanes_match_run_gpd(self):
+        # three real streams of different lengths: the longest keeps
+        # stepping after the others end, so the ready set shrinks
+        names = ["181.mcf", "164.gzip", "178.galgel"]
+        streams = [model_stream(name, 0.05, 45_000, seed=9 + i)[1]
+                   for i, name in enumerate(names)]
+        buffer_size = 1016
+        batch = BatchSession(
+            binary=None, run_gpd=True,
+            monitor_thresholds=MonitorThresholds(buffer_size=buffer_size))
+        for stream in streams:
+            batch.add_lane().feed_stream(stream)
+        batch.run()
+        assert len({lane.stats.intervals for lane in batch.lanes}) == 3
+        for stream, lane in zip(streams, batch.lanes):
+            assert_detectors_identical(run_gpd(stream, buffer_size),
+                                       lane.gpd)
 
 
 class TestRaggedPaddedFeed:
@@ -171,19 +200,15 @@ class TestRaggedPaddedFeed:
         chunk = 700
         offsets = [0, 0, 0]
         for _ in range(20):
-            padded = np.zeros((3, chunk), dtype=np.int64)
-            lengths = []
             for i in range(3):
                 take = chunk if i == 0 else int(rng.integers(0, chunk + 1))
                 take = min(take, streams[i].pcs.size - offsets[i])
-                padded[i, :take] = streams[i].pcs[offsets[i]:
-                                                  offsets[i] + take]
                 if take:
-                    scalar_sessions[i].feed_many(
-                        streams[i].pcs[offsets[i]:offsets[i] + take])
+                    pcs = streams[i].pcs[offsets[i]:offsets[i] + take]
+                    scalar_sessions[i].feed_many(pcs)
+                    batch.lanes[i].feed_many(pcs)
                 offsets[i] += take
-                lengths.append(take)
-            batch.feed(padded, lengths)
+            batch.process_ready()
 
         for i in range(3):
             assert_lane_matches_scalar(scalar_sessions[i], batch.lanes[i],
@@ -209,10 +234,3 @@ class TestValidation:
             with pytest.raises(SamplingError) as lane_error:
                 lane.feed_many(bad)
             assert str(scalar_error.value) == str(lane_error.value)
-
-    def test_feed_shape_validated(self):
-        model, _ = lane_streams(0)
-        batch = BatchSession(binary=model.binary)
-        batch.add_lane()
-        with pytest.raises(SamplingError):
-            batch.feed(np.zeros(5, dtype=np.int64))

@@ -155,6 +155,16 @@ class TestExtraExperiments:
         assert max(gpd_counts) - min(gpd_counts) >= 10
         assert max(lpd_counts) - min(lpd_counts) <= 10
 
+    def test_fleet_small_rungs(self):
+        from repro.experiments import extra_fleet
+
+        # The first rung has fewer lanes than CONFORMANCE_LANES, so the
+        # scalar replay must stop at the fleet's last lane.
+        result = extra_fleet.run(ExperimentConfig(scale=0.05, seed=7),
+                                 rungs=(2, 8))
+        assert result.rows == [[2, 24, 2, 8, 0, "bit-identical"],
+                               [8, 96, 8, 32, 2, "—"]]
+
 
 class TestRunner:
     def test_registry_covers_all_data_figures(self):

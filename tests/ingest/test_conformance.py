@@ -50,7 +50,8 @@ def test_recorded_stream_is_bit_identical_across_backends(fixture):
     lane_bus, lane_sink = traced_bus()
     batch = BatchSession(binary=None, run_gpd=True,
                          monitor_thresholds=THRESHOLDS)
-    lane = batch.add_lane(stream=stream, telemetry=lane_bus)
+    lane = batch.add_lane(telemetry=lane_bus)
+    lane.feed_stream(stream)
     batch.run()
 
     assert scalar.stats.intervals == lane.stats.intervals > 0
