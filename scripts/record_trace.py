@@ -134,6 +134,11 @@ class _FrameSampler:
     the "virtual address" a per-file random load base (fresh every
     run, like ASLR — downstream offsets must cancel it) plus the code
     object's line/bytecode offset.
+
+    A woken sampler still needs the GIL, which a busy main thread only
+    hands over every ``sys.getswitchinterval()`` (5 ms by default), so
+    while sampling the switch interval drops to a quarter of the
+    sampling interval; the thread sleeps to fixed deadlines.
     """
 
     def __init__(self, interval_ns: int, comm: str) -> None:
@@ -145,7 +150,8 @@ class _FrameSampler:
         self._bases: dict[str, int] = {}
         # Load-base entropy is the *point* of this RNG: every run must
         # slide each file differently, proving offset stability.
-        self._rng = random.Random(os.getpid() ^ time.time_ns())  # repro: allow[wall-clock] ASLR-like load bases need per-run entropy
+        # repro: allow[wall-clock] ASLR-like load bases need per-run entropy
+        self._rng = random.Random(os.getpid() ^ time.time_ns())
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _base(self, filename: str) -> int:
@@ -157,9 +163,10 @@ class _FrameSampler:
 
     def _run(self) -> None:
         pid = os.getpid()
-        interval_s = self.interval_ns / 1e9
+        deadline = time.monotonic_ns()  # repro: allow[wall-clock] sampling schedule
         while not self._stop.is_set():
-            now = time.monotonic_ns()  # repro: allow[wall-clock] sampling timestamps are real time by definition
+            # repro: allow[wall-clock] sample timestamps are real time
+            now = time.monotonic_ns()
             frame = sys._current_frames().get(self._main_id)
             if frame is not None:
                 code = frame.f_code
@@ -169,15 +176,23 @@ class _FrameSampler:
                 self.events.append(PerfEvent(
                     comm=self.comm, pid=pid, time_ns=now, ip=ip,
                     sym=code.co_name, dso=code.co_filename))
-            self._stop.wait(interval_s)
+            # Hold the requested rate; debt beyond one interval is
+            # dropped, so a stall never turns into a burst of samples.
+            deadline = max(deadline + self.interval_ns, now)
+            delay_ns = deadline - time.monotonic_ns()  # repro: allow[wall-clock] sampling schedule
+            self._stop.wait(delay_ns / 1e9)
 
     def __enter__(self) -> "_FrameSampler":
+        self._switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(min(self._switch_interval,
+                                  self.interval_ns / 4e9))
         self._thread.start()
         return self
 
     def __exit__(self, *exc: object) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
+        sys.setswitchinterval(self._switch_interval)
 
 
 def cmd_pysample(args: argparse.Namespace) -> int:

@@ -9,10 +9,10 @@ percentages are computed as charged operations per program cycle (one
 operation ≈ one cycle, the same granularity the paper's percent-of-
 execution-time numbers imply).
 
-Wall-clock microbenchmarks of the actual Python implementations live in
-``benchmarks/``; the ledger is what the figure-level experiments use, so
-that cost shapes reflect the algorithms rather than numpy dispatch
-overhead.
+Wall-clock time of the actual Python implementations is measured end
+to end by the repo benchmark (``perfbench/``); the ledger is what the
+figure-level experiments use, so that cost shapes reflect the
+algorithms rather than numpy dispatch overhead.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ The modern statistical counterpart to the paper's LPD/GPD detectors:
 * :mod:`repro.cpd.offline` — hierarchical offline E-divisive for
   complete scalar series;
 * :mod:`repro.cpd.hunt` — the `repro-bench hunt` CLI: Hunter-style
-  regression detection over the repo's committed ``BENCH_*.json``
-  benchmark trajectory, segmented by machine.
+  regression detection over the committed ``BENCH_*.json`` snapshots
+  of per-benchmark medians, segmented by machine.
 
 The head-to-head scoring against LPD/GPD lives in
 :mod:`repro.experiments.extra_cpd` (``repro-experiments cpd``).

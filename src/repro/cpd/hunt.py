@@ -1,17 +1,16 @@
 """`repro-bench hunt`: E-divisive regression hunting over BENCH history.
 
-The repo commits a ``BENCH_*.json`` trajectory snapshot per PR
-(:mod:`scripts.bench_compare`).  ``bench_compare`` gates each new run
-against the latest snapshot with fixed thresholds; this CLI closes the
-Hunter-style loop instead: load the *whole* committed history, run the
-offline E-divisive detector (:mod:`repro.cpd.offline`) over every
-benchmark's median series, and report the statistically significant
-regressions and improvements with confidence levels.
+Each committed ``BENCH_*.json`` file is a snapshot of per-benchmark
+median timings.  Rather than gate one run against the latest snapshot
+with fixed thresholds, this CLI closes the Hunter-style loop: load the
+*whole* committed history, run the offline E-divisive detector
+(:mod:`repro.cpd.offline`) over every benchmark's median series, and
+report the statistically significant regressions and improvements with
+confidence levels.
 
 Series are segmented by machine fingerprint (``machine_info`` +
 ``cpu_count``) before detection, so a hardware change between snapshots
-starts a fresh series instead of being flagged as a performance change
-— the same guard ``bench_compare`` applies pairwise.
+starts a fresh series instead of being flagged as a performance change.
 
 The CLI is a *non-blocking* CI report step: without ``--strict`` it
 always exits 0, and with an empty or too-short history it reports what
@@ -39,7 +38,7 @@ _MACHINE_KEYS = ("node", "machine", "processor", "cpu")
 def machine_fingerprint(snapshot: dict[str, Any]) -> str:
     """Stable identity of the machine a snapshot was recorded on.
 
-    Built from the pytest-benchmark ``machine_info`` block plus
+    Built from the snapshot's ``machine_info`` block plus
     ``cpu_count``; snapshots missing both collapse to ``"unknown"`` (and
     therefore compare against each other, the pre-guard behavior).
     """

@@ -2,7 +2,8 @@
 
 Figures 1 and 12 are state diagrams, reproduced as code
 (:mod:`repro.core.gpd`, :mod:`repro.core.lpd`); every data figure has a
-module here and a benchmark under ``benchmarks/``.
+module here, a shape test in ``tests/experiments/test_experiments.py``
+and committed full-scale rows in ``results/``.
 """
 
 from repro.experiments import (fig02_mcf_region_chart,  # noqa: F401

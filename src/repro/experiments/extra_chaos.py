@@ -22,9 +22,9 @@ same batches — and the supervisor's own replay cross-check
 (``divergences``) must stay zero.  A rung passes only if both hold and
 every shard exits cleanly.
 
-Statistics only — serving throughput and snapshot overhead are measured
-by ``benchmarks/test_serve_bench.py`` and gated by
-``scripts/bench_compare.py``, never by wall-clock reads here.
+Statistics only — serving throughput is measured by the repo
+benchmark's ``serve`` workload (``perfbench/``) and snapshot overhead
+is gated by ``scripts/perf_gates.py``, never by wall-clock reads here.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ rung a handful of lanes are re-run through the scalar
 — the equivalence contract, spot-checked inside the experiment itself
 (the full proof lives in ``tests/batch/``).
 
-Statistics only — throughput is measured by
-``benchmarks/test_batch_bench.py`` and gated by
-``scripts/bench_compare.py``, never by wall-clock reads here.
+Statistics only — throughput is measured by the repo benchmark's
+``fleet`` workload (``perfbench/``) and gated by
+``scripts/perf_gates.py``, never by wall-clock reads here.
 """
 
 from __future__ import annotations

@@ -30,14 +30,14 @@ class ServeConfig:
         Virtual nodes per shard on the consistent-hash ring.
     snapshot_every:
         Applied batches between periodic snapshots, checked between
-        worker rounds.  ``benchmarks/test_serve_bench.py`` measures the
-        cost on a 256-lane shard; on a 2-vCPU AMD EPYC VM a snapshot
+        worker rounds.  ``scripts/perf_gates.py`` measures the cost
+        on a 256-lane shard; on a 2-vCPU AMD EPYC VM a snapshot
         takes about 9-10 ms, a one-interval batch applied alone about
         0.21 ms, and one applied inside a 256-lane round about
         0.057 ms.  At the 1024 cadence snapshots therefore cost about
         4.5% of throughput with single applications, under the 5%
-        budget the ``bench_compare`` gate enforces on that pair, and
-        about 16% with full rounds.  The trade is recovery work: the
+        budget that script's snapshot gate enforces, and about 16%
+        with full rounds.  The trade is recovery work: the
         supervisor journals every undispatched batch since the
         second-newest snapshot, so a restarted worker replays at most
         ``2 * snapshot_every`` batches, plus up to one round (one batch

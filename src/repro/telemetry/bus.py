@@ -12,8 +12,9 @@ Instrumentation sites guard every emission with a single attribute read::
 ``True`` only while at least one *non-null* sink is attached, so the
 default state (one :class:`~repro.telemetry.sinks.NullSink`) costs one
 attribute load and a falsy branch per site and constructs no event
-objects.  The overhead gate in ``scripts/bench_compare.py`` holds this
-path to within 2% of the pre-telemetry baseline.
+objects.  ``tests/telemetry/test_instrumentation.py`` holds every
+instrumented layer to this: a pass on the default bus makes no
+``emit`` call.
 
 Determinism
 -----------

@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.program.behavior import RegionSpec, bottleneck_profile
 from repro.program.workload import Steady, WorkloadScript, mixture
 from repro.sampling import simulate_sampling
+from tests.conftest import model_stream
 
 
 def feed_steady(detector, n, centroid=100_000.0, cpi=1.2, dpi=8.0):
@@ -178,6 +179,17 @@ class TestStreamIntegration:
         assert len(cpi_changes) >= 2  # destabilize + restabilize
         assert composite.phase_change_count() \
             >= centroid_only.phase_change_count()
+
+    def test_composite_sees_at_least_the_centroid_changes_on_mcf(self):
+        # The paper's prototype GPD also watches CPI and DPI; mcf's
+        # memory behavior shifts with its region mix.
+        _, stream = model_stream("181.mcf", 0.2)
+        composite = CompositeGlobalDetector().process_stream(stream, 2032)
+        centroid_only = CompositeGlobalDetector(
+            channels=("centroid",)).process_stream(stream, 2032)
+        assert composite.intervals_seen == stream.n_intervals(2032)
+        assert len(composite.channel_events) \
+            >= len(centroid_only.channel_events)
 
     def test_fallback_instr_delta(self):
         import numpy as np

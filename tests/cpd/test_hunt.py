@@ -6,15 +6,11 @@ no-change history produces no findings at all.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.cpd.hunt import (benchmark_series, hunt_report, load_snapshots,
                             machine_fingerprint, main, render_text)
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Deterministic "measurement noise" (relative), far below the step.
 JITTER = (1.000, 0.998, 1.003, 0.999, 1.002, 0.997,
@@ -174,18 +170,3 @@ class TestCli:
     def test_render_text_quiet_history(self):
         text = render_text(hunt_report(history(step_at=None)))
         assert "no statistically significant changes" in text
-
-
-class TestBenchCompareGuard:
-    def test_bench_compare_shares_the_fingerprint_implementation(self):
-        # Satellite (f): the pairwise gate's cross-machine warning and
-        # hunt's per-machine series segmentation must agree on what "a
-        # machine" is — bench_compare imports the function from here.
-        scripts = str(REPO_ROOT / "scripts")
-        if scripts not in sys.path:
-            sys.path.insert(0, scripts)
-        try:
-            import bench_compare
-        finally:
-            sys.path.remove(scripts)
-        assert bench_compare.machine_fingerprint is machine_fingerprint

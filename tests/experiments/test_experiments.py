@@ -30,17 +30,22 @@ class TestIndividualExperiments:
 
     def test_fig03_shape(self):
         result = fig03_gpd_phase_changes.run(
-            SMALL, benchmarks=("181.mcf", "171.swim"))
+            SMALL, benchmarks=("181.mcf", "171.swim", "178.galgel"))
         by_name = {row[0]: row[1:] for row in result.rows}
-        # mcf flaps at 45k, swim does not.
+        # mcf and galgel flap at 45k, swim does not.
         assert by_name["181.mcf"][0] > by_name["171.swim"][0]
+        assert by_name["178.galgel"][0] > by_name["171.swim"][0]
         assert len(result.headers) == 4
 
     def test_fig04_percentages_bounded(self):
-        result = fig04_gpd_stable_time.run(SMALL, benchmarks=("171.swim",))
+        result = fig04_gpd_stable_time.run(
+            SMALL, benchmarks=("171.swim", "187.facerec"))
         for row in result.rows:
             for value in row[1:]:
                 assert 0.0 <= value <= 100.0
+        by_name = {row[0]: row for row in result.rows}
+        # The flapper spends far less of its run stable at 45k.
+        assert by_name["171.swim"][1] > by_name["187.facerec"][1]
 
     def test_fig05_counts_switches(self):
         # Needs enough intervals for a few set switches to land.
@@ -105,13 +110,19 @@ class TestIndividualExperiments:
         assert all(row[3] <= 2 for row in lucas)
 
     def test_fig14_high_stability(self):
-        result = fig14_lpd_stable_time.run(SMALL, benchmarks=("189.lucas",))
+        result = fig14_lpd_stable_time.run(
+            SMALL, benchmarks=("189.lucas", "181.mcf"))
         for row in result.rows:
             assert row[3] > 80.0  # 45k column
 
     def test_fig15_ordering(self):
-        result = fig15_cost.run(TINY, benchmarks=("176.gcc", "171.swim"))
+        # gcc's region population makes it the costliest to monitor; at
+        # the 0.02 scale crafty's cold start still outweighs it.
+        result = fig15_cost.run(SMALL, benchmarks=(
+            "176.gcc", "186.crafty", "301.apsi", "181.mcf", "171.swim",
+            "189.lucas"))
         by_name = {row[0]: row for row in result.rows}
+        assert by_name["176.gcc"][3] == max(row[3] for row in result.rows)
         assert by_name["176.gcc"][3] > by_name["171.swim"][3]
         # LPD is many times slower than GPD everywhere.
         for row in result.rows:
@@ -142,6 +153,11 @@ class TestExtraExperiments:
         by_scheme = {row[1]: row for row in result.rows}
         assert by_scheme["centroid"][3] > by_scheme["lpd"][3]
         assert by_scheme["lpd"][2] == "local"
+        # The frequency-weighting global schemes flap on facerec's
+        # periodic set switching; per-region LPD only stabilizes.
+        assert by_scheme["centroid"][3] >= 8
+        assert by_scheme["bbv"][3] >= 8
+        assert by_scheme["lpd"][3] <= 6
 
     def test_interval_size_sweep(self):
         from repro.experiments import extra_interval_size

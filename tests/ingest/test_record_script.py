@@ -7,10 +7,12 @@ must gate cleanly when ``perf`` is absent.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.ingest import load_profile
@@ -29,12 +31,16 @@ def run_tool(*args, timeout=120):
 
 @pytest.fixture(scope="module")
 def tiny_workload(tmp_path_factory):
+    # The sampler records the main thread's leaf frame, so the workload
+    # does its work in its own frame: every sample taken while it runs
+    # lands in busy.py.  (A loop around json.dumps spent about 90% of
+    # its leaf time in json's encoder.py and gave busy.py as few as 1
+    # sample in 47.)
     path = tmp_path_factory.mktemp("wl") / "busy.py"
     path.write_text(
-        "import json\n"
         "total = 0\n"
-        "for i in range(3000):\n"
-        "    total += len(json.dumps({'i': i, 'row': list(range(40))}))\n"
+        "for i in range(200_000):\n"
+        "    total += i * i % 7\n"
         "print(total)\n", encoding="utf-8")
     return path
 
@@ -73,6 +79,24 @@ class TestPysample:
             assert any(dso.endswith("busy.py") for dso in profile.dsos)
             assert int(profile.offsets.min()) >= 0
 
+    def test_samples_arrive_at_the_requested_interval(self, tiny_workload,
+                                                      tmp_path):
+        # A woken sampler must not wait out the GIL switch interval (5 ms
+        # by default).  Over 90 runs at 500 us, on two workloads, idle
+        # and with both CPUs busy, this recorder's median gap read
+        # 0.99-1.04 times the interval.  A sampler that waits for the
+        # switch read 1.24-16 times it (about 5.9 ms when idle; other
+        # load can hand it the GIL sooner).
+        out = tmp_path / "paced.json"
+        result = run_tool("pysample", str(tiny_workload), "--name", "paced",
+                          "--out", str(out), "--interval-us", "500")
+        assert result.returncode == 0, result.stderr
+        profile = load_profile(out)
+        gap = float(np.median(np.diff(profile.times_ns)))
+        period = profile.provenance.period_ns
+        assert period / 1.2 <= gap <= 1.2 * period, \
+            f"median gap {gap / 1e3:.0f} us at a {period / 1e3:.0f} us period"
+
     def test_missing_workload_script_exits_nonzero(self, tmp_path):
         result = run_tool("pysample", str(tmp_path / "absent.py"),
                           "--name", "x", "--out", str(tmp_path / "x.json"))
@@ -104,12 +128,18 @@ class TestConvert:
 class TestRecordGate:
     def test_record_without_perf_gates_with_guidance(self, tmp_path,
                                                      monkeypatch):
-        # Hide any real perf: an empty PATH makes shutil.which fail.
+        # Hide any real perf: an empty PATH makes shutil.which fail.  The
+        # bytecode switch passes through, so a suite run that asked for
+        # no caches leaves none in src/.
+        env = {"PATH": str(tmp_path)}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = \
+                os.environ["PYTHONDONTWRITEBYTECODE"]
         result = subprocess.run(
             [sys.executable, str(SCRIPT), "record", "--name", "x",
              "--out", str(tmp_path / "x.json"), "true"],
             capture_output=True, text=True, timeout=60,
-            cwd=str(REPO_ROOT), env={"PATH": str(tmp_path)})
+            cwd=str(REPO_ROOT), env=env)
         assert result.returncode == 2
         assert "perf not found" in result.stderr
 

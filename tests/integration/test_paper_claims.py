@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.metrics import run_gpd
 from repro.core import MonitorThresholds
+from repro.core.similarity import get_measure
 from repro.monitor import RegionMonitor
 from repro.optimizer import compare_policies
 from repro.program.spec2000 import get_benchmark
@@ -25,11 +26,18 @@ def gpd_stats(name, period, scale=SCALE):
     return len(detector.events), detector.stable_time_fraction()
 
 
-def monitor_for(name, period, scale=SCALE):
+def monitor_for(name, period, scale=SCALE, thresholds=None,
+                **monitor_kwargs):
     model, stream = model_stream(name, scale, period, seed=SEED)
-    monitor = RegionMonitor(model.binary, MonitorThresholds())
+    monitor = RegionMonitor(model.binary, thresholds or MonitorThresholds(),
+                            **monitor_kwargs)
     monitor.process_stream(stream)
     return model, monitor
+
+
+def lpd_changes(model, monitor, workload_name):
+    region = monitor.region_by_name(model.monitored_name(workload_name))
+    return monitor.detector(region.rid).phase_change_count()
 
 
 class TestGpdSensitivity:
@@ -64,6 +72,23 @@ class TestGpdSensitivity:
         _, stable_45k = gpd_stats("181.mcf", 45_000)
         _, stable_900k = gpd_stats("181.mcf", 900_000)
         assert stable_900k < stable_45k  # the paper's inversion
+
+    @pytest.mark.parametrize("buffer_size", [508, 2032, 8128])
+    def test_interval_size_swings_gpd_not_lpd(self, buffer_size):
+        # "Interval size ... can be independently set" (section 2.3): at
+        # one period, a small buffer resolves facerec's switching into
+        # many GPD changes and a big one averages it away, while every
+        # region's LPD verdict stays put.
+        _, stream = model_stream("187.facerec", 0.3, 45_000, seed=SEED)
+        gpd_events = len(run_gpd(stream, buffer_size).events)
+        _, monitor = monitor_for("187.facerec", 45_000, scale=0.3,
+                                 thresholds=MonitorThresholds(
+                                     buffer_size=buffer_size))
+        assert max(monitor.phase_change_counts().values()) <= 4
+        if buffer_size == 508:
+            assert gpd_events >= 10
+        if buffer_size == 8128:
+            assert gpd_events <= 10
 
 
 class TestLpdRobustness:
@@ -125,6 +150,21 @@ class TestLpdRobustness:
         detector = adaptive.detector(adaptive.region_by_name(
             model.monitored_name("ammp_a1")).rid)
         assert detector.phase_change_count() <= 3
+
+    @pytest.mark.parametrize("measure", ["pearson", "cosine", "manhattan",
+                                         "topk8"])
+    def test_cheaper_measures_keep_mcf_locally_stable(self, measure):
+        # The paper's future work asks for cheaper similarity measures.
+        model, monitor = monitor_for("181.mcf", 45_000, scale=0.1,
+                                     measure=get_measure(measure))
+        for workload_name in ("mcf_r1", "mcf_r2"):
+            assert lpd_changes(model, monitor, workload_name) <= 2
+
+    @pytest.mark.parametrize("measure", ["pearson", "cosine", "manhattan"])
+    def test_cheaper_measures_still_catch_gap_erratic_region(self, measure):
+        model, monitor = monitor_for("254.gap", 45_000, scale=0.3,
+                                     measure=get_measure(measure))
+        assert lpd_changes(model, monitor, "gap_g3") >= 3
 
 
 class TestUcrClaims:

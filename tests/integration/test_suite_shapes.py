@@ -11,6 +11,8 @@ from repro.analysis.metrics import run_gpd
 from repro.core import MonitorThresholds
 from repro.monitor import RegionMonitor
 from repro.program.spec2000 import get_benchmark
+from repro.regions.pruning import PruningPolicy
+from repro.regions.region import RegionKind
 from tests.conftest import model_stream
 
 SEED = 7
@@ -60,6 +62,16 @@ class TestRegionCountOrdering:
                 / max(monitor.intervals_processed, 1)
         assert costs["176.gcc"] > 10 * costs["181.mcf"]
 
+    def test_pruning_cuts_cost_on_a_many_region_program(self):
+        # Section 3.2.3: evicting cold regions lowers attribution cost.
+        _model, full = monitor_at("255.vortex")
+        _model, pruned = monitor_at("255.vortex", pruning=PruningPolicy(
+            max_idle_intervals=8, min_recent_share=0.002,
+            grace_intervals=8))
+        assert len(pruned.live_regions()) < len(pruned.all_regions())
+        assert pruned.ledger.monitor_ops < full.ledger.monitor_ops
+        assert pruned.phase_change_counts()  # hot regions still watched
+
 
 class TestCrossDetectorConsistency:
     def test_seed_invariance_of_shapes(self):
@@ -85,6 +97,12 @@ class TestCrossDetectorConsistency:
             _m, traced = monitor_at(name, scale=0.05,
                                     trace_formation=True)
             assert traced.ucr.median() <= plain.ucr.median() + 1e-9
+            if name == "186.crafty":
+                # Hot-path traces cover crafty's branchy non-loop code.
+                assert RegionKind.TRACE in {
+                    r.kind for r in traced.all_regions()}
+                assert traced.ucr.median() < 0.10
+                assert plain.ucr.median() > 0.30
 
 
 class TestWorkloadDurations:

@@ -71,6 +71,24 @@ class TestFormationIntegration:
         assert first.ucr_fraction == 1.0
         assert first.formation is not None and first.formation.formed_any
 
+    def test_one_interval_forms_every_hot_loop(self):
+        builder = BinaryBuilder(base=0x10000)
+        for i in range(64):
+            builder.procedure(f"p{i}", [loop(f"l{i}", body=28)],
+                              at=0x20000 + i * 0x400)
+        binary = builder.build()
+        monitor = RegionMonitor(binary, MonitorThresholds(buffer_size=2032))
+        starts = np.array([binary.loop_span(f"l{i}")[0] for i in range(64)])
+        rng = np.random.default_rng(42)
+        # Two hot slots per loop: each region's share clears formation's
+        # hot fraction, so one interval forms all 64.
+        pcs = (starts[rng.integers(0, 64, size=2032)]
+               + 4 * rng.integers(0, 2, size=2032)).astype(np.int64)
+        monitor.process_interval(pcs)
+        assert len(monitor.live_regions()) == 64
+        monitor.process_interval(pcs)
+        assert monitor.ucr.history[-1] == 0.0
+
     def test_ucr_settles_below_threshold(self):
         monitor = RegionMonitor(BINARY, small_thresholds())
         monitor.process_stream(steady_stream(ucr_weight=0.10))

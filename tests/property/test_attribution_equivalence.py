@@ -3,7 +3,7 @@
 The engine's columnar attribution kernel (`"list"`/`"tree"`, one row or a
 whole round of lanes) and the simulation cache are pure optimizations:
 they must reproduce, byte for byte, what the per-PC scalar references
-(`"list-scalar"`/`"tree-scalar"`) and a fresh uncached computation
+(`tests/attribution_oracle.py`) and a fresh uncached computation
 produce.  These tests drive random registries, random sample vectors —
 unaligned PCs, PCs below and above every span, PCs too wide for 32 bits
 and empty intervals included — many-lane rounds and whole random-program
@@ -26,6 +26,8 @@ from repro.program.generator import random_program
 from repro.regions.attribution import attribute_round, make_attributor
 from repro.regions.registry import RegionRegistry
 from repro.sampling import simulate_sampling
+from tests.attribution_oracle import (ORACLES, ScalarListAttributor,
+                                      ScalarTreeAttributor)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -115,7 +117,7 @@ class TestBatchedMatchesScalar:
         pcs = random_pcs(rng)
         batched_ledger, scalar_ledger = CostLedger(), CostLedger()
         batched = make_attributor("list", registry, batched_ledger)
-        scalar = make_attributor("list-scalar", registry, scalar_ledger)
+        scalar = ScalarListAttributor(registry, scalar_ledger)
         assert_results_identical(batched.attribute(pcs),
                                  scalar.attribute(pcs))
         assert_ledgers_identical(batched_ledger, scalar_ledger)
@@ -128,7 +130,7 @@ class TestBatchedMatchesScalar:
         pcs = random_pcs(rng)
         batched_ledger, scalar_ledger = CostLedger(), CostLedger()
         batched = make_attributor("tree", registry, batched_ledger)
-        scalar = make_attributor("tree-scalar", registry, scalar_ledger)
+        scalar = ScalarTreeAttributor(registry, scalar_ledger)
         assert_results_identical(batched.attribute(pcs),
                                  scalar.attribute(pcs))
         assert_ledgers_identical(batched_ledger, scalar_ledger)
@@ -142,7 +144,7 @@ class TestBatchedMatchesScalar:
         registry = random_registry(rng, max_regions=6)
         batched_ledger, scalar_ledger = CostLedger(), CostLedger()
         batched = make_attributor("tree", registry, batched_ledger)
-        scalar = make_attributor("tree-scalar", registry, scalar_ledger)
+        scalar = ScalarTreeAttributor(registry, scalar_ledger)
         for _ in range(3):
             pcs = random_pcs(rng)
             assert_results_identical(batched.attribute(pcs),
@@ -167,8 +169,7 @@ class TestRoundMatchesScalarPerLane:
                       for _ in registries]
         lanes = [make_attributor(strategy, registry, CostLedger())
                  for strategy, registry in zip(strategies, registries)]
-        oracles = [make_attributor(f"{strategy}-scalar", registry,
-                                   CostLedger())
+        oracles = [ORACLES[strategy](registry, CostLedger())
                    for strategy, registry in zip(strategies, registries)]
         for round_index in range(2):
             block = np.stack([random_pcs(rng, width)
@@ -200,13 +201,19 @@ class TestRoundMatchesScalarPerLane:
         assert list(second.ucr_pcs) == [0x2000]
 
 
-def monitor_pipeline(seed: int, attribution: str) -> RegionMonitor:
+def monitor_pipeline(seed: int, attribution: str,
+                     oracle: bool = False) -> RegionMonitor:
+    """A random-program monitor run; *oracle* swaps in the scalar
+    reference of the *attribution* strategy."""
     program = random_program(seed, duration_cycles=5_000_000)
     stream = simulate_sampling(program.regions, program.workload, 25_000,
                                seed=seed)
     monitor = RegionMonitor(program.binary,
                             MonitorThresholds(buffer_size=256),
                             attribution=attribution)
+    if oracle:
+        monitor.attributor = ORACLES[attribution](monitor.registry,
+                                                  monitor.ledger)
     monitor.process_stream(stream)
     return monitor
 
@@ -227,13 +234,15 @@ class TestMonitorPipelineEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_list_pipeline(self, seed):
         assert_monitors_identical(monitor_pipeline(seed, "list"),
-                                  monitor_pipeline(seed, "list-scalar"))
+                                  monitor_pipeline(seed, "list",
+                                                   oracle=True))
 
     @given(seeds)
     @settings(max_examples=8, deadline=None)
     def test_tree_pipeline(self, seed):
         assert_monitors_identical(monitor_pipeline(seed, "tree"),
-                                  monitor_pipeline(seed, "tree-scalar"))
+                                  monitor_pipeline(seed, "tree",
+                                                   oracle=True))
 
 
 class TestCachedMatchesFresh:

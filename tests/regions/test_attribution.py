@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.costs import CostLedger
-from repro.regions.attribution import (ListAttributor, ScalarListAttributor,
-                                       ScalarTreeAttributor, TreeAttributor,
+from repro.regions.attribution import (ListAttributor, TreeAttributor,
                                        attribute_round, make_attributor)
 from repro.regions.registry import RegionRegistry
+from tests.attribution_oracle import ORACLES, ScalarListAttributor
 
 
 def registry_with(*spans):
@@ -89,8 +89,7 @@ class TestOddPcs:
         pcs = np.array([-8, 0, 0xfff, 0x1001, 0x1003, 0x100b, 0x1010,
                         0x2002, 0x2005, 0x2009, 0x200a, 1 << 40])
         result = make_attributor(strategy, registry).attribute(pcs)
-        oracle = make_attributor(f"{strategy}-scalar",
-                                 registry).attribute(pcs)
+        oracle = ORACLES[strategy](registry).attribute(pcs)
         assert list(result.ucr_pcs) == list(oracle.ucr_pcs) \
             == [-8, 0, 0xfff, 0x1010, 0x200a, 1 << 40]
         assert list(result.region_counts[0]) == [2, 0, 1, 0]
@@ -207,13 +206,6 @@ class TestFactory:
         registry = RegionRegistry()
         assert isinstance(make_attributor("list", registry), ListAttributor)
         assert isinstance(make_attributor("tree", registry), TreeAttributor)
-
-    def test_scalar_reference_strategies(self):
-        registry = RegionRegistry()
-        assert isinstance(make_attributor("list-scalar", registry),
-                          ScalarListAttributor)
-        assert isinstance(make_attributor("tree-scalar", registry),
-                          ScalarTreeAttributor)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="list.*tree"):

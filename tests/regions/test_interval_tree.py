@@ -77,6 +77,7 @@ class TestAgainstNaiveOracle:
             end = start + int(rng.integers(1, 120))
             intervals.append(Interval(start, end, payload))
         tree = IntervalTree(intervals)
+        assert len(tree) == len(intervals)
         for _ in range(200):
             point = int(rng.integers(-10, 1200))
             assert tree.stab(point) == tree.stab_naive(point)

@@ -8,22 +8,31 @@ ordering.
 
 import numpy as np
 
+from repro.batch.session import BatchSession
 from repro.core import MonitorThresholds
 from repro.core.gpd import GlobalPhaseDetector
 from repro.core.lpd import LocalPhaseDetector
+from repro.cpd import cpd_detector_factory
 from repro.experiments.cache import (GpdKey, SimulationCache, StreamKey,
                                      cache_disabled)
 from repro.monitor import (OnlineSession, RegionMonitor, RegionWatchdog,
                            WatchdogConfig)
+from repro.optimizer import RtoConfig, RTOSystem
+from repro.program.behavior import RegionSpec
 from repro.program.binary import BinaryBuilder, loop, straight
+from repro.program.spec2000 import INTERVAL_45K
+from repro.program.workload import Steady, WorkloadScript, mixture
 from repro.telemetry.bus import EventBus, capture, get_bus
-from repro.telemetry.events import (NO_REGION, CacheHit, CacheMiss,
-                                    Deoptimization, IntervalClosed,
-                                    PhaseChange, RegionFormed,
-                                    RegionQuarantined, SampleBatch,
-                                    StableSetFrozen, StableSetUpdated,
-                                    StateTransition)
+from repro.telemetry.events import (EVENT_TYPES, NO_REGION, CacheHit,
+                                    CacheMiss, Deoptimization,
+                                    IntervalClosed, PhaseChange,
+                                    RegionFormed, RegionQuarantined,
+                                    SampleBatch, StableSetFrozen,
+                                    StableSetUpdated, StateTransition)
 from repro.telemetry.sinks import InMemorySink
+from tests.telemetry.test_rto_telemetry import (build_system,
+                                                globally_flapping_workload,
+                                                locally_flapping_workload)
 
 
 def tiny_binary():
@@ -41,6 +50,70 @@ def hot_pcs(binary, size=8, seed=0):
 def bus_with_sink():
     sink = InMemorySink()
     return EventBus(sinks=[sink]), sink
+
+
+def run_every_instrumented_layer() -> LocalPhaseDetector:
+    """One pass through every layer with an instrumentation site, each on
+    its default bus: LPD, GPD, monitor, watchdog, a change-point detector,
+    online and batch sessions with and without regions, the simulation
+    cache and both RTO policies."""
+    lpd = LocalPhaseDetector(n_instructions=16)
+    counts = np.linspace(1.0, 16.0, 16)
+    for i in range(6):
+        lpd.observe(counts, i)
+    gpd = GlobalPhaseDetector()
+    for value in (100.0,) * 12 + (900.0,) * 3:
+        gpd.observe_centroid(value)
+
+    binary = tiny_binary()
+    thresholds = MonitorThresholds(buffer_size=8)
+    monitor = RegionMonitor(binary, thresholds)
+    watchdog = RegionWatchdog(
+        WatchdogConfig(starvation_intervals=2, retry_budget=1), monitor)
+    empty = np.array([], dtype=np.int64)
+    watchdog.observe_interval(monitor.process_interval(hot_pcs(binary), 0))
+    for i in range(1, 3):
+        watchdog.observe_interval(monitor.process_interval(empty, i))
+    # The online session's regions run a change-point detector.
+    OnlineSession(binary=binary, monitor_thresholds=thresholds,
+                  detector_factory=cpd_detector_factory("cusum")).feed_many(
+        hot_pcs(binary, size=16))
+    unmonitored = np.random.default_rng(3).integers(0x10000, 0x20000, 16)
+    OnlineSession(monitor_thresholds=thresholds).feed_many(unmonitored)
+    for session_binary, pcs in ((binary, hot_pcs(binary, size=16)),
+                                (None, unmonitored)):
+        session = BatchSession(binary=session_binary,
+                               monitor_thresholds=thresholds)
+        for _ in range(2):
+            session.add_lane().feed_many(pcs)
+        # A lane with a live bus of its own makes the banks emit row by
+        # row; the rows on the default bus must stay silent.
+        session.add_lane(telemetry=EventBus(sinks=[InMemorySink()])
+                         ).feed_many(pcs)
+        session.process_ready()
+    store = SimulationCache()
+    for _ in range(2):
+        store.stream(StreamKey("181.mcf", 1.0, 45000, 7), lambda: "artifact")
+
+    # ORIG unpatches everything on a global flap; LPD unpatches on a local
+    # flap, on a watchdog trip ('b' starves in the second phase) and on
+    # harm ('a' runs slower once optimized).
+    rto_binary, regions = build_system()
+    harmful = dict(regions)
+    harmful["a"] = RegionSpec("a", regions["a"].start, regions["a"].end,
+                              profiles=dict(regions["a"].profiles),
+                              dpi=0.10, opt_potential=-0.20)
+    starving = WorkloadScript([
+        Steady(30 * INTERVAL_45K,
+               mixture(("a", 0.55), ("b", 0.35), ("cold_code", 0.10))),
+        Steady(20 * INTERVAL_45K, mixture(("a", 0.55), ("cold_code", 0.45)))])
+    for config, specs, workload in (
+            (RtoConfig(policy="orig"), regions, globally_flapping_workload()),
+            (RtoConfig(policy="lpd"), regions, locally_flapping_workload()),
+            (RtoConfig(policy="lpd", self_monitoring=True,
+                       watchdog=WatchdogConfig()), harmful, starving)):
+        RTOSystem(rto_binary, specs, workload, 45_000, config, seed=3).run()
+    return lpd
 
 
 class TestLpdInstrumentation:
@@ -76,13 +149,32 @@ class TestLpdInstrumentation:
         detector.observe(np.zeros(16), 0)
         assert sink.events == []
 
-    def test_disabled_bus_emits_nothing(self):
-        bus = EventBus()
-        detector = LocalPhaseDetector(n_instructions=16, telemetry=bus)
-        counts = np.linspace(1.0, 16.0, 16)
-        for i in range(6):
-            detector.observe(counts, i)
+    def test_disabled_bus_emits_nothing(self, monkeypatch):
+        # The hot-path contract (repro.telemetry.bus): no instrumentation
+        # site calls emit on a disabled bus, so none builds an event.  The
+        # same pass with a live default bus shows that it reaches every
+        # event type and every deoptimization path.
+        leaked = []  # events emitted on a disabled bus
+        emit = EventBus.emit
+
+        def checked_emit(bus, event):
+            if not bus.enabled:
+                leaked.append(event)
+            emit(bus, event)
+
+        monkeypatch.setattr(EventBus, "emit", checked_emit)
+        assert not get_bus().enabled
+        detector = run_every_instrumented_layer()
         assert detector.active_intervals == 6  # pipeline ran normally
+        assert leaked == []
+        with capture(InMemorySink()) as sink:
+            run_every_instrumented_layer()
+        assert {type(e) for e in sink.events} == set(EVENT_TYPES.values())
+        assert {e.detector for e in sink.by_type(StateTransition)} == {
+            "lpd", "gpd", "cusum"}
+        assert {e.reason for e in sink.by_type(Deoptimization)} == {
+            "starved", "global-phase-change", "local-phase-change",
+            "watchdog", "self-monitor"}
 
 
 class TestGpdInstrumentation:
