@@ -12,9 +12,10 @@ integer state vectors compiled from the declarative
 
 The contract is strict bit-equality with the scalar path: identical
 phase-change indices, state trajectories, stable-set freezes and
-deoptimization events, enforced by the differential conformance suite in
-``tests/batch/``.  The batch backend is an optimization, never a semantic
-fork: the scalar pipeline stays the oracle it is compared against.
+deoptimization events, enforced by the conformance oracle in
+``tests/conformance/``.  The batch backend is an optimization, never a
+semantic fork: the scalar pipeline stays the oracle it is compared
+against.
 
 Entry points:
 

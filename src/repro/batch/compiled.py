@@ -11,8 +11,8 @@ LPD detector rows are grouped by exact histogram width
 (:mod:`repro.batch.gpd`).  Elementwise arithmetic (``+ - * /``,
 ``sqrt``, comparisons) is IEEE-754 double in NumPy and pure Python
 alike, so replaying the scalar operation sequence per row yields the
-same bits, which the differential conformance suite (``tests/batch/``)
-asserts.
+same bits, which the bank suites in ``tests/batch/`` and the
+conformance oracle in ``tests/conformance/`` assert.
 """
 
 from __future__ import annotations

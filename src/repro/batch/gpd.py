@@ -18,8 +18,12 @@ converted copy, and in the steady state (every history full) one dense
 band-stats call and one fused classify-and-step cover the whole fleet.
 
 Each row is exposed as a :class:`BatchGlobalPhaseDetector` view that
-mirrors the scalar detector's read surface; ``tests/batch/`` proves the
-two bit-identical on states, phase-change indices and drift ratios.
+mirrors the scalar detector's read surface.
+``tests/batch/test_gpd_conformance.py`` proves the two bit-identical on
+states, phase-change indices and drift ratios row by row; the
+conformance oracle in ``tests/conformance/`` does so lane by lane for
+the ``batch``, ``worker`` and ``fleet`` engines, GPD-only lanes and
+recorded traces included.
 """
 
 from __future__ import annotations

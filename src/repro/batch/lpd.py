@@ -9,7 +9,11 @@ mirrors the scalar detector (``state``, ``last_r``, ``events``,
 ``observations``, ``reset()``, ...) so region monitors, watchdogs and
 figure code consume either interchangeably.
 
-Bit-equality design (enforced by ``tests/batch/``):
+Bit-equality design (enforced row by row by
+``tests/batch/test_lpd_conformance.py``, and lane by lane by the
+conformance oracle in ``tests/conformance/``, whose ``batch``,
+``worker`` and ``fleet`` engines are held to the scalar pipeline over
+every spec2000 model, fault plan, feed pattern and churn it generates):
 
 * stable-set and current histograms are grouped by *exact* width — no
   padding — so row-wise reductions share the scalar's pairwise-summation

@@ -12,15 +12,18 @@ vectorized calls instead of N Python pipelines.
 Equivalence contract: per lane, results and telemetry are bit-identical
 to feeding the same samples to a scalar ``OnlineSession`` — same states,
 same phase-change indices, same stable-set freezes, same watchdog
-deoptimizations (the conformance suite in ``tests/batch/`` holds the
-backend to this).  Lanes are mutually invisible: each lane's bus sees
-exactly the event sequence its scalar twin would emit, and lanes may
-start, starve and end at different intervals (ragged fleets).
+deoptimizations.  The conformance oracle in ``tests/conformance/`` holds
+the ``batch`` engine (and the serve ``worker`` and ``fleet`` built on
+it) to the ``scalar`` one over its scenario space: every spec2000
+model, random and recorded programs, fault plans, ragged and late feeds,
+detector churn, history discards and pickling mid-run.  Lanes are
+mutually invisible: each lane's bus sees exactly the event sequence its
+scalar twin would emit, and lanes may start, starve and end at
+different intervals (ragged fleets).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -31,36 +34,25 @@ from repro.batch.regroup import FleetRegrouper
 from repro.batch.rings import ShardRing
 from repro.core.states import PhaseEvent
 from repro.core.thresholds import GpdThresholds, MonitorThresholds
-from repro.errors import SamplingError
-from repro.monitor.online import GlobalChangeCallback, LocalChangeCallback
-from repro.monitor.region_monitor import IntervalReport, RegionMonitor
-from repro.monitor.watchdog import (RegionWatchdog, WatchdogConfig,
-                                    WatchdogEvent)
+from repro.monitor.online import SessionSurface
+from repro.monitor.region_monitor import RegionMonitor
+from repro.monitor.watchdog import RegionWatchdog, WatchdogConfig
 from repro.program.binary import SyntheticBinary
 from repro.regions.attribution import attribute_round
-from repro.sampling.events import SampleStream
 from repro.telemetry.bus import EventBus, get_bus
-from repro.telemetry.events import IntervalClosed, SampleBatch
+from repro.telemetry.events import IntervalClosed
 
 __all__ = ["BatchLane", "BatchSession"]
 
 
-@dataclass
-class LaneStats:
-    """Mirror of the scalar session's counters, per lane."""
-
-    intervals: int = 0
-    samples: int = 0
-    global_events: int = 0
-    local_events: int = 0
-
-
-class BatchLane:
+class BatchLane(SessionSurface):
     """One stream's pipeline inside a :class:`BatchSession`.
 
     Create via :meth:`BatchSession.add_lane`.  Feeding only queues
     samples; intervals complete when the owning session next runs
     :meth:`BatchSession.process_ready` (or :meth:`BatchSession.run`).
+    Counters, callbacks, validation and :meth:`summary` are the scalar
+    session's own (:class:`~repro.monitor.online.SessionSurface`).
     """
 
     def __init__(self, session: "BatchSession", index: int, name: str,
@@ -68,93 +60,28 @@ class BatchLane:
                  gpd: BatchGlobalPhaseDetector | None,
                  monitor: RegionMonitor | None,
                  watchdog: RegionWatchdog | None) -> None:
+        super().__init__(telemetry)
         self.session = session
         self.index = index
         self.name = name
-        self.telemetry = telemetry
         self.gpd = gpd
         self.monitor = monitor
         self.watchdog = watchdog
-        self.stats = LaneStats()
-        self.reports: list[IntervalReport] = []
-        self.watchdog_events: list[WatchdogEvent] = []
-        self._global_callbacks: list[GlobalChangeCallback] = []
-        self._local_callbacks: list[LocalChangeCallback] = []
         self._interval_index = -1
-
-    # -- subscriptions -------------------------------------------------------
-
-    def on_global_change(self, callback: GlobalChangeCallback) -> None:
-        """Register a callback for this lane's global phase changes."""
-        self._global_callbacks.append(callback)
-
-    def on_local_change(self, callback: LocalChangeCallback) -> None:
-        """Register a callback for this lane's per-region phase changes."""
-        self._local_callbacks.append(callback)
-
-    # -- feeding (queue only; the session drains) ----------------------------
 
     @property
     def pending_samples(self) -> int:
         """Samples queued since the last completed interval."""
         return self.session._ring.fill(self.index)
 
-    def feed_many(self, pcs: np.ndarray) -> int:
-        """Queue a batch of samples; returns full intervals now pending.
+    def _push(self, pcs: np.ndarray) -> int:
+        """Queue a validated batch; returns full intervals now pending.
 
-        Validation matches ``OnlineSession.feed_many`` exactly — a
-        non-1-D, empty or non-integer batch raises
-        :class:`~repro.errors.SamplingError`.  Samples land in the
-        session's preallocated :class:`~repro.batch.rings.ShardRing`, so
-        interval completion later hands the banks direct views.
+        Samples land in the session's preallocated
+        :class:`~repro.batch.rings.ShardRing`, so interval completion
+        later hands the banks direct views.
         """
-        pcs = np.asarray(pcs)
-        if pcs.ndim != 1:
-            raise SamplingError(
-                f"feed_many expects a 1-D sample batch, got shape "
-                f"{pcs.shape}")
-        if pcs.size == 0:
-            raise SamplingError("feed_many received an empty batch")
-        if not np.issubdtype(pcs.dtype, np.integer):
-            raise SamplingError(
-                f"feed_many expects integer PCs, got dtype {pcs.dtype}")
-        self.stats.samples += int(pcs.size)
-        bus = self.telemetry
-        if bus.enabled:
-            bus.emit(SampleBatch(cumulative_samples=self.stats.samples,
-                                 batch_size=int(pcs.size)))
         return self.session._ring.push(self.index, pcs)
-
-    def feed_stream(self, stream: SampleStream) -> int:
-        """Queue a whole simulated stream."""
-        if not isinstance(stream, SampleStream):
-            raise SamplingError(
-                f"feed_stream expects a SampleStream, got "
-                f"{type(stream).__name__}")
-        if stream.n_samples == 0:
-            raise SamplingError("feed_stream received an empty stream")
-        return self.feed_many(stream.pcs)
-
-    def _take_interval(self) -> np.ndarray:
-        """Dequeue one buffer's worth of samples (a ring view)."""
-        return self.session._ring.take_interval(self.index)
-
-    def summary(self) -> dict:
-        """Status dictionary, shaped like ``OnlineSession.summary()``."""
-        summary = {
-            "intervals": self.stats.intervals,
-            "samples": self.stats.samples,
-            "global_events": self.stats.global_events,
-            "local_events": self.stats.local_events,
-        }
-        if self.gpd is not None:
-            summary["gpd_stable"] = self.gpd.in_stable_phase
-        if self.monitor is not None:
-            summary["monitored_regions"] = len(self.monitor.live_regions())
-            summary["ucr_median"] = self.monitor.ucr.median()
-        if self.watchdog is not None:
-            summary["watchdog"] = self.watchdog.summary()
-        return summary
 
 
 class BatchSession:

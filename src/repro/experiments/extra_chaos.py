@@ -40,8 +40,7 @@ from repro.faults.service import (DuplicateDelivery, QueueStall,
                                   ReorderDelivery, ServiceFaultPlan,
                                   TornSnapshot, WorkerCrash)
 from repro.sampling import simulate_sampling
-from repro.serve import (FleetSupervisor, ServeConfig, build_shard_session,
-                         extract_lane_events)
+from repro.serve import ServeConfig, reference_events, run_fleet
 
 EXPERIMENT_ID = "chaos"
 TITLE = "Crash-tolerant serving: fault ladder, differentially verified"
@@ -100,46 +99,12 @@ def _stream_batches(model, config: ExperimentConfig) -> dict[str, list]:
     return batches
 
 
-def _reference_events(serve_config: ServeConfig,
-                      batches: dict[str, list]) -> dict[str, tuple]:
-    """The oracle: one clean in-process session fed the same batches."""
-    streams = tuple(batches)
-    session = build_shard_session(serve_config, streams)
-    for lane, stream in zip(session.lanes, streams):
-        for chunk in batches[stream]:
-            lane.feed_many(chunk)
-            session.process_ready()
-    return {stream: extract_lane_events(lane)[0]
-            for lane, stream in zip(session.lanes, streams)}
-
-
 def _run_rung(serve_config: ServeConfig, faults: ServiceFaultPlan,
               batches: dict[str, list]) -> dict:
     """Drive one ladder rung through the fleet; return its counters."""
-    streams = list(batches)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as snapdir:
-        fleet = FleetSupervisor(serve_config, streams, snapdir,
-                                faults=faults)
-        try:
-            fleet.start()
-            rounds = max(len(chunks) for chunks in batches.values())
-            for round_index in range(rounds):
-                for stream in streams:
-                    chunks = batches[stream]
-                    if round_index < len(chunks):
-                        fleet.submit(stream, chunks[round_index])
-            fleet.drain()
-            events = {stream: fleet.stream_events(stream)
-                      for stream in streams}
-            summary = fleet.summary()
-        except BaseException:
-            # Reap the workers before the error propagates — live
-            # daemon children would wedge interpreter exit, and the
-            # TemporaryDirectory cleanup would otherwise delete the
-            # snapshot store under a still-running fleet.
-            fleet.shutdown(graceful=False)
-            raise
-        exit_codes = fleet.shutdown(graceful=True)
+        events, summary, exit_codes = run_fleet(serve_config, batches,
+                                                snapdir, faults=faults)
     summary["events"] = events
     summary["dirty_exits"] = sum(1 for code in exit_codes.values()
                                  if code not in (0, None))
@@ -152,7 +117,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG,
     model = benchmark_for(benchmark, config)
     serve_config = _serve_config(model)
     batches = _stream_batches(model, config)
-    oracle = _reference_events(serve_config, batches)
+    oracle = reference_events(serve_config, batches)
     headers = ["rung", "submitted", "restarts", "divergences", "evicted",
                "dirty exits", "verdict"]
     rows: list[list] = []

@@ -47,7 +47,8 @@ N_BINS = 64
 #: which the model's own timeline counts as a true change point.
 GROUND_TRUTH_L1 = 0.25
 
-#: A detection within this many intervals after a true change matches it.
+#: A detection within this many intervals after a true change matches it
+#: (the ``realtrace`` zoo's cross-detector agreement uses the same window).
 MATCH_TOLERANCE = 8
 
 #: The ladder benchmark (explicit step phases) and the zoo scenarios.
@@ -173,10 +174,29 @@ def score_detections(detected: list[int], truth: list[int],
     }
 
 
-def _unstable_edges(events) -> list[int]:
-    """Interval indexes of the became-unstable boundary crossings."""
+def unstable_edges(events) -> list[int]:
+    """Interval indexes of the became-unstable crossings (= detections)."""
     return [event.interval_index for event in events
             if event.kind is PhaseEventKind.BECAME_UNSTABLE]
+
+
+def histogram_zoo(histograms: np.ndarray, config: ExperimentConfig
+                  ) -> tuple[LocalPhaseDetector, EDivisiveDetector,
+                             CusumDetector]:
+    """LPD, E-divisive and CUSUM stepped over per-interval histograms.
+
+    The evidence the ``cpd`` scoreboard and the ``realtrace`` zoo share:
+    row *i* of *histograms* is interval *i*'s ``N_BINS``-bin address
+    histogram (:func:`interval_histograms`).
+    """
+    cpd = CpdThresholds(seed=config.seed)
+    detectors = (LocalPhaseDetector(n_instructions=N_BINS),
+                 EDivisiveDetector(N_BINS, cpd=cpd),
+                 CusumDetector(N_BINS, cpd=cpd))
+    for index, counts in enumerate(histograms):
+        for detector in detectors:
+            detector.observe(counts, index)
+    return detectors
 
 
 def _scenario_detections(model, plan: FaultPlan,
@@ -186,23 +206,14 @@ def _scenario_detections(model, plan: FaultPlan,
     stream = stream_for(model, BASE_PERIOD, config, plan_arg)
     buffer_size = config.buffer_size
     n_intervals = stream.n_intervals(buffer_size)
-    histograms = interval_histograms(stream, buffer_size)
-
-    cpd = CpdThresholds(seed=config.seed)
-    lpd = LocalPhaseDetector(n_instructions=N_BINS)
-    edivisive = EDivisiveDetector(N_BINS, cpd=cpd)
-    cusum = CusumDetector(N_BINS, cpd=cpd)
-    for index in range(n_intervals):
-        counts = histograms[index]
-        lpd.observe(counts, index)
-        edivisive.observe(counts, index)
-        cusum.observe(counts, index)
+    lpd, edivisive, cusum = histogram_zoo(
+        interval_histograms(stream, buffer_size), config)
     gpd = gpd_run(model, BASE_PERIOD, config, plan=plan_arg)
 
     truth = truth_for_stream(model, BASE_PERIOD, buffer_size, stream)
     return {
-        "lpd": _unstable_edges(lpd.events),
-        "gpd": _unstable_edges(gpd.events),
+        "lpd": unstable_edges(lpd.events),
+        "gpd": unstable_edges(gpd.events),
         "edivisive": list(edivisive.change_points),
         "cusum": list(cusum.change_points),
     }, n_intervals, truth

@@ -13,8 +13,10 @@ behind a bursty sample-drop fault plan, so the fleet exercises the
 ragged, partially-degraded mix the backend must handle.  On the smallest
 rung a handful of lanes are re-run through the scalar
 :class:`~repro.monitor.online.OnlineSession` and compared event-for-event
-— the equivalence contract, spot-checked inside the experiment itself
-(the full proof lives in ``tests/batch/``).
+— the equivalence contract, spot-checked inside the experiment itself.
+The full proof is the conformance oracle in ``tests/conformance/``: it
+holds the ``batch``, ``worker`` and ``fleet`` engines to the ``scalar``
+pipeline over every spec2000 model, fault plans, ragged feeds and churn.
 
 Statistics only — throughput is measured by the repo benchmark's
 ``fleet`` workload (``perfbench/``) and gated by

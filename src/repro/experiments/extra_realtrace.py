@@ -12,10 +12,11 @@ between the detection sets of every detector pair — detectors that see
 the *same* structure in a recording agree; one that flaps alone does
 not).
 
-The corpus directory can be overridden with ``REPRO_TRACE_CORPUS`` (the
-CI smoke job points it at a subset).  ``config.scale`` trims the number
-of replayed intervals per trace — the recording itself is immutable;
-scaling only shortens the replay.
+The corpus directory can be overridden with ``REPRO_TRACE_CORPUS``.
+``config.scale`` trims the number of replayed intervals per trace — the
+recording itself is immutable; scaling only shortens the replay.  The
+histogram evidence and the LPD/E-divisive/CUSUM stepping are the
+``cpd`` scoreboard's own (:func:`~repro.experiments.extra_cpd.histogram_zoo`).
 """
 
 from __future__ import annotations
@@ -24,29 +25,19 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis.metrics import run_gpd
-from repro.core.lpd import LocalPhaseDetector
-from repro.core.states import PhaseEventKind
-from repro.cpd import CpdThresholds, CusumDetector, EDivisiveDetector
 from repro.errors import ExperimentError
 from repro.experiments.base import (ExperimentResult, trace_gpd_run,
                                     trace_stream_for)
 from repro.experiments.config import (BASE_PERIOD, DEFAULT_CONFIG,
                                       ExperimentConfig)
+from repro.experiments.extra_cpd import (MATCH_TOLERANCE, histogram_zoo,
+                                         interval_histograms, unstable_edges)
 from repro.ingest import TraceProfile, load_profile
 from repro.sampling import SampleStream
 
 EXPERIMENT_ID = "realtrace"
 TITLE = "Recorded traces: detector zoo on real executions"
-
-#: Address-histogram resolution for LPD and the CPD detectors (the
-#: same evidence shape the ``cpd`` scoreboard uses).
-N_BINS = 64
-
-#: Two detections within this many intervals of each other agree.
-MATCH_TOLERANCE = 8
 
 #: Replays never drop below this many intervals, however small the
 #: scale — detectors need a minimum run length to mean anything.
@@ -94,25 +85,6 @@ def _trim(stream: SampleStream, n_intervals: int,
                                 else stream.instr_delta[:n]))
 
 
-def interval_histograms(stream: SampleStream, buffer_size: int,
-                        n_bins: int = N_BINS) -> np.ndarray:
-    """Per-interval address histograms over the stream's own PC range."""
-    n_intervals = stream.n_intervals(buffer_size)
-    pcs = stream.pcs[:n_intervals * buffer_size].astype(np.float64)
-    edges = np.linspace(pcs.min(), pcs.max() + 1.0, n_bins + 1)
-    histograms = np.empty((n_intervals, n_bins), dtype=np.float64)
-    for index in range(n_intervals):
-        window = pcs[index * buffer_size:(index + 1) * buffer_size]
-        histograms[index] = np.histogram(window, bins=edges)[0]
-    return histograms
-
-
-def _unstable_edges(events) -> list[int]:
-    """Interval indexes of became-unstable crossings (= detections)."""
-    return [event.interval_index for event in events
-            if event.kind is PhaseEventKind.BECAME_UNSTABLE]
-
-
 def agreement(a: list[int], b: list[int],
               tolerance: int = MATCH_TOLERANCE) -> float:
     """Tolerant Jaccard between two detection sets.
@@ -149,20 +121,11 @@ def trace_detections(profile: TraceProfile,
     else:
         gpd = trace_gpd_run(profile, BASE_PERIOD, config)
 
-    histograms = interval_histograms(stream, buffer_size)
-    cpd = CpdThresholds(seed=config.seed)
-    lpd = LocalPhaseDetector(n_instructions=N_BINS)
-    edivisive = EDivisiveDetector(N_BINS, cpd=cpd)
-    cusum = CusumDetector(N_BINS, cpd=cpd)
-    for index in range(n_use):
-        counts = histograms[index]
-        lpd.observe(counts, index)
-        edivisive.observe(counts, index)
-        cusum.observe(counts, index)
-
+    lpd, edivisive, cusum = histogram_zoo(
+        interval_histograms(stream, buffer_size), config)
     detections = {
-        "gpd": _unstable_edges(gpd.events),
-        "lpd": _unstable_edges(lpd.events),
+        "gpd": unstable_edges(gpd.events),
+        "lpd": unstable_edges(lpd.events),
         "edivisive": list(edivisive.change_points),
         "cusum": list(cusum.change_points),
     }

@@ -19,7 +19,7 @@ session sample-by-sample is bit-for-bit equivalent to the batch path
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from repro.sampling.events import SampleStream
 from repro.telemetry.bus import EventBus, get_bus
 from repro.telemetry.events import IntervalClosed, SampleBatch
 
-__all__ = ["OnlineSession", "GlobalChangeCallback", "LocalChangeCallback"]
+__all__ = ["OnlineSession", "SessionSurface", "SessionStats",
+           "GlobalChangeCallback", "LocalChangeCallback"]
 
 #: Called on every global phase change: (event).
 GlobalChangeCallback = Callable[[PhaseEvent], None]
@@ -46,14 +47,107 @@ LocalChangeCallback = Callable[[int, PhaseEvent], None]
 
 
 @dataclass
-class _SessionStats:
+class SessionStats:
+    """The counters every online session keeps."""
+
     intervals: int = 0
     samples: int = 0
     global_events: int = 0
     local_events: int = 0
 
 
-class OnlineSession:
+class SessionSurface:
+    """What :class:`OnlineSession` and a batch lane share.
+
+    Counters, the report and watchdog logs, phase-change callbacks,
+    sample validation and the status summary.  A subclass sets ``gpd``,
+    ``monitor`` and ``watchdog`` and implements :meth:`_push`, which
+    takes a validated batch.
+    """
+
+    gpd: Any
+    monitor: RegionMonitor | None
+    watchdog: RegionWatchdog | None
+
+    def __init__(self, telemetry: EventBus) -> None:
+        self.telemetry = telemetry
+        self.stats = SessionStats()
+        self.reports: list[IntervalReport] = []
+        self.watchdog_events: list[WatchdogEvent] = []
+        self._global_callbacks: list[GlobalChangeCallback] = []
+        self._local_callbacks: list[LocalChangeCallback] = []
+
+    # -- subscriptions ------------------------------------------------------
+
+    def on_global_change(self, callback: GlobalChangeCallback) -> None:
+        """Register a callback for global phase changes."""
+        self._global_callbacks.append(callback)
+
+    def on_local_change(self, callback: LocalChangeCallback) -> None:
+        """Register a callback for per-region phase changes."""
+        self._local_callbacks.append(callback)
+
+    # -- feeding ------------------------------------------------------------
+
+    def _push(self, pcs: np.ndarray) -> int:
+        raise NotImplementedError
+
+    def feed_many(self, pcs: np.ndarray) -> int:
+        """Deliver a batch of samples; returns what :meth:`_push` counts.
+
+        The batch must be a non-empty one-dimensional integer array —
+        float PCs would be silently truncated and an empty batch is
+        always a driver bug, so both raise
+        :class:`~repro.errors.SamplingError` instead of misbehaving.
+        """
+        pcs = np.asarray(pcs)
+        if pcs.ndim != 1:
+            raise SamplingError(
+                f"feed_many expects a 1-D sample batch, got shape "
+                f"{pcs.shape}")
+        if pcs.size == 0:
+            raise SamplingError("feed_many received an empty batch")
+        if not np.issubdtype(pcs.dtype, np.integer):
+            raise SamplingError(
+                f"feed_many expects integer PCs, got dtype {pcs.dtype}")
+        self.stats.samples += int(pcs.size)
+        bus = self.telemetry
+        if bus.enabled:
+            bus.emit(SampleBatch(cumulative_samples=self.stats.samples,
+                                 batch_size=int(pcs.size)))
+        return self._push(pcs)
+
+    def feed_stream(self, stream: SampleStream) -> int:
+        """Deliver a whole simulated stream."""
+        if not isinstance(stream, SampleStream):
+            raise SamplingError(
+                f"feed_stream expects a SampleStream, got "
+                f"{type(stream).__name__}")
+        if stream.n_samples == 0:
+            raise SamplingError("feed_stream received an empty stream")
+        return self.feed_many(stream.pcs)
+
+    # -- inspection -------------------------------------------------------------
+
+    def summary(self) -> dict:
+        """A small status dictionary (for logging/diagnostics)."""
+        summary = {
+            "intervals": self.stats.intervals,
+            "samples": self.stats.samples,
+            "global_events": self.stats.global_events,
+            "local_events": self.stats.local_events,
+        }
+        if self.gpd is not None:
+            summary["gpd_stable"] = self.gpd.in_stable_phase
+        if self.monitor is not None:
+            summary["monitored_regions"] = len(self.monitor.live_regions())
+            summary["ucr_median"] = self.monitor.ucr.median()
+        if self.watchdog is not None:
+            summary["watchdog"] = self.watchdog.summary()
+        return summary
+
+
+class OnlineSession(SessionSurface):
     """A live phase-detection pipeline fed by PMU samples.
 
     Parameters
@@ -87,39 +181,24 @@ class OnlineSession:
                  telemetry: EventBus | None = None,
                  **monitor_kwargs) -> None:
         thresholds = monitor_thresholds or MonitorThresholds()
-        self._telemetry = telemetry if telemetry is not None else get_bus()
+        super().__init__(telemetry if telemetry is not None else get_bus())
         self.gpd: GlobalPhaseDetector | None = (
-            GlobalPhaseDetector(gpd_thresholds, telemetry=self._telemetry)
+            GlobalPhaseDetector(gpd_thresholds, telemetry=self.telemetry)
             if run_gpd else None)
-        self.monitor: RegionMonitor | None = (
-            RegionMonitor(binary, thresholds, telemetry=self._telemetry,
+        self.monitor = (
+            RegionMonitor(binary, thresholds, telemetry=self.telemetry,
                           **monitor_kwargs)
             if binary is not None else None)
         if self.gpd is None and self.monitor is None:
             raise ValueError(
                 "an online session needs a binary (for region "
                 "monitoring), run_gpd=True, or both")
-        self.watchdog: RegionWatchdog | None = None
+        self.watchdog = None
         if watchdog is not None and self.monitor is not None:
             self.watchdog = RegionWatchdog(watchdog, self.monitor,
-                                           telemetry=self._telemetry)
+                                           telemetry=self.telemetry)
         self._buffer = SampleBuffer(thresholds.buffer_size,
                                     self._on_overflow)
-        self._global_callbacks: list[GlobalChangeCallback] = []
-        self._local_callbacks: list[LocalChangeCallback] = []
-        self.stats = _SessionStats()
-        self.reports: list[IntervalReport] = []
-        self.watchdog_events: list[WatchdogEvent] = []
-
-    # -- subscriptions ------------------------------------------------------
-
-    def on_global_change(self, callback: GlobalChangeCallback) -> None:
-        """Register a callback for global phase changes."""
-        self._global_callbacks.append(callback)
-
-    def on_local_change(self, callback: LocalChangeCallback) -> None:
-        """Register a callback for per-region phase changes."""
-        self._local_callbacks.append(callback)
 
     # -- feeding ------------------------------------------------------------
 
@@ -128,41 +207,9 @@ class OnlineSession:
         self.stats.samples += 1
         return self._buffer.push(int(pc))
 
-    def feed_many(self, pcs: np.ndarray) -> int:
-        """Deliver a batch of samples; returns completed-interval count.
-
-        The batch must be a non-empty one-dimensional integer array —
-        float PCs would be silently truncated and an empty batch is
-        always a driver bug, so both raise
-        :class:`~repro.errors.SamplingError` instead of misbehaving.
-        """
-        pcs = np.asarray(pcs)
-        if pcs.ndim != 1:
-            raise SamplingError(
-                f"feed_many expects a 1-D sample batch, got shape "
-                f"{pcs.shape}")
-        if pcs.size == 0:
-            raise SamplingError("feed_many received an empty batch")
-        if not np.issubdtype(pcs.dtype, np.integer):
-            raise SamplingError(
-                f"feed_many expects integer PCs, got dtype {pcs.dtype}")
-        pcs = pcs.astype(np.int64, copy=False)
-        self.stats.samples += int(pcs.size)
-        bus = self._telemetry
-        if bus.enabled:
-            bus.emit(SampleBatch(cumulative_samples=self.stats.samples,
-                                 batch_size=int(pcs.size)))
-        return self._buffer.push_many(pcs)
-
-    def feed_stream(self, stream: SampleStream) -> int:
-        """Deliver a whole simulated stream; returns intervals completed."""
-        if not isinstance(stream, SampleStream):
-            raise SamplingError(
-                f"feed_stream expects a SampleStream, got "
-                f"{type(stream).__name__}")
-        if stream.n_samples == 0:
-            raise SamplingError("feed_stream received an empty stream")
-        return self.feed_many(stream.pcs)
+    def _push(self, pcs: np.ndarray) -> int:
+        """Buffer a validated batch; returns the intervals it completed."""
+        return self._buffer.push_many(pcs.astype(np.int64, copy=False))
 
     @property
     def pending_samples(self) -> int:
@@ -182,7 +229,7 @@ class OnlineSession:
         if self.monitor is None:
             # GPD-only sessions have no region monitor to close the
             # interval; -1.0 marks the UCR fraction as not applicable.
-            bus = self._telemetry
+            bus = self.telemetry
             if bus.enabled:
                 bus.emit(IntervalClosed(interval_index=interval_index,
                                         n_samples=int(pcs.size),
@@ -197,22 +244,3 @@ class OnlineSession:
             if self.watchdog is not None:
                 self.watchdog_events.extend(
                     self.watchdog.observe_interval(report))
-
-    # -- inspection -------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """A small status dictionary (for logging/diagnostics)."""
-        summary = {
-            "intervals": self.stats.intervals,
-            "samples": self.stats.samples,
-            "global_events": self.stats.global_events,
-            "local_events": self.stats.local_events,
-        }
-        if self.gpd is not None:
-            summary["gpd_stable"] = self.gpd.in_stable_phase
-        if self.monitor is not None:
-            summary["monitored_regions"] = len(self.monitor.live_regions())
-            summary["ucr_median"] = self.monitor.ucr.median()
-        if self.watchdog is not None:
-            summary["watchdog"] = self.watchdog.summary()
-        return summary

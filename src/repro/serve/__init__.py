@@ -9,13 +9,16 @@ dead workers from versioned snapshots
 (:mod:`repro.serve.supervisor`, :mod:`repro.serve.snapshot`,
 :mod:`repro.serve.journal`).
 
-The correctness bar is PR 5's trusted-oracle rule, one level up: a
-sharded run — including runs with injected worker crashes, torn
-snapshot writes, duplicated and reordered deliveries
+The correctness bar is the batch engine's trusted-oracle rule, one
+level up: a sharded run — including runs with injected worker crashes,
+torn snapshot writes, duplicated and reordered deliveries
 (:mod:`repro.faults.service`) — must produce per-stream event sequences
 bit-identical to a clean single-process
-:class:`~repro.batch.session.BatchSession` (``tests/serve/`` and the
-``chaos`` experiment hold the layer to this).
+:class:`~repro.batch.session.BatchSession`
+(:func:`~repro.serve.worker.reference_events`).  The ``chaos``
+experiment holds the layer to that reference; ``tests/conformance/``
+holds a 256-stream fleet under chaos, and the in-process
+:class:`~repro.serve.worker.ShardWorker`, to the scalar pipeline.
 """
 
 from repro.serve.config import ServeConfig
@@ -30,17 +33,21 @@ from repro.serve.snapshot import (SNAPSHOT_FIELDS, SNAPSHOT_MAGIC,
                                   SnapshotStore, decode_snapshot,
                                   encode_snapshot, read_snapshot,
                                   write_snapshot)
-from repro.serve.supervisor import FleetSupervisor
-from repro.serve.worker import (CRASH_EXIT_CODE, ShardWorker,
-                                build_shard_session, worker_main)
+from repro.serve.supervisor import FleetSupervisor, run_fleet
+from repro.serve.worker import (CRASH_EXIT_CODE, SNAPSHOT_KEEP, ShardWorker,
+                                build_shard_session, reference_events,
+                                worker_main)
 
 __all__ = [
     "ServeConfig",
     "FleetSupervisor",
+    "run_fleet",
     "ShardWorker",
     "worker_main",
     "build_shard_session",
+    "reference_events",
     "CRASH_EXIT_CODE",
+    "SNAPSHOT_KEEP",
     "HashRing",
     "StreamGovernor",
     "ShardJournal",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.thresholds import GpdThresholds, MonitorThresholds
 from repro.errors import ServeError
@@ -26,8 +26,6 @@ class ServeConfig:
     ----------
     n_shards:
         Worker processes (one ``BatchSession`` each).
-    hash_replicas:
-        Virtual nodes per shard on the consistent-hash ring.
     snapshot_every:
         Applied batches between periodic snapshots, checked between
         worker rounds.  ``scripts/perf_gates.py`` measures the cost
@@ -43,21 +41,12 @@ class ServeConfig:
         ``2 * snapshot_every`` batches, plus up to one round (one batch
         per stream of the shard) by which a snapshot can trail its
         cadence.
-    snapshot_keep:
-        Snapshot generations retained per shard (minimum 2 — recovery
-        must survive a torn newest generation).
     queue_capacity:
         Bound of each shard's input queue (backpressure surface).
     dispatch_timeout:
         Seconds one enqueue attempt may block on a full queue.
     dispatch_retries:
         Enqueue attempts before a stream's slow-consumer governor trips.
-    dispatch_backoff:
-        Base seconds between dispatch retries (doubles per retry).
-    governor:
-        Degradation policy for slow consumers, reusing the region
-        watchdog's retry-budget/backoff/blacklist semantics at stream
-        granularity.
     """
 
     binary: SyntheticBinary | None = None
@@ -66,14 +55,10 @@ class ServeConfig:
     run_gpd: bool = True
     watchdog: WatchdogConfig | None = None
     n_shards: int = 4
-    hash_replicas: int = 64
     snapshot_every: int = 1024
-    snapshot_keep: int = 2
     queue_capacity: int = 256
     dispatch_timeout: float = 0.5
     dispatch_retries: int = 5
-    dispatch_backoff: float = 0.05
-    governor: WatchdogConfig = field(default_factory=WatchdogConfig)
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -83,10 +68,6 @@ class ServeConfig:
             raise ServeError(
                 f"snapshot_every must be at least 1, got "
                 f"{self.snapshot_every}")
-        if self.snapshot_keep < 2:
-            raise ServeError(
-                f"snapshot_keep must be at least 2 (recovery falls back "
-                f"past a torn newest snapshot), got {self.snapshot_keep}")
         if self.queue_capacity < 1:
             raise ServeError(
                 f"queue_capacity must be at least 1, got "

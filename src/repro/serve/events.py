@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.batch.session import BatchLane
+    from repro.monitor.online import SessionSurface
 
 __all__ = ["EventRecord", "EventCursor", "extract_lane_events"]
 
@@ -66,17 +66,19 @@ def _merge(records: list[tuple[int, int, int, EventRecord]]
     return tuple(item[3] for item in records)
 
 
-def extract_lane_events(lane: BatchLane, cursor: EventCursor = EventCursor()
+def extract_lane_events(lane: SessionSurface,
+                        cursor: EventCursor = EventCursor()
                         ) -> tuple[tuple[EventRecord, ...], EventCursor]:
     """New events on *lane* past *cursor*; returns them plus the new cursor.
 
-    *lane* is a :class:`~repro.batch.session.BatchLane` (duck-typed: a
-    scalar :class:`~repro.monitor.online.OnlineSession` exposing
-    ``gpd``/``reports``/``watchdog`` works too, which is how the
-    conformance tests cross-check the extraction itself).
+    *lane* is a :class:`~repro.batch.session.BatchLane` or a scalar
+    :class:`~repro.monitor.online.OnlineSession`: both keep ``gpd``
+    (``None`` without the global channel), ``reports`` and
+    ``watchdog_events``, so one extraction serves every engine of the
+    conformance oracle.
     """
     keyed: list[tuple[int, int, int, EventRecord]] = []
-    gpd = getattr(lane, "gpd", None)
+    gpd = lane.gpd
     n_gpd = cursor.n_gpd
     if gpd is not None:
         events = gpd.events
@@ -90,7 +92,7 @@ def extract_lane_events(lane: BatchLane, cursor: EventCursor = EventCursor()
                               state_to=event.state_to.name,
                               detail=event.detail)))
         n_gpd = len(events)
-    reports = getattr(lane, "reports", None) or []
+    reports = lane.reports
     order = 0
     for report in reports[cursor.n_reports:]:
         for rid, event in report.events:
@@ -103,11 +105,7 @@ def extract_lane_events(lane: BatchLane, cursor: EventCursor = EventCursor()
                               state_to=event.state_to.name,
                               detail=event.detail)))
             order += 1
-    n_reports = len(reports)
-    watchdog_events = getattr(lane, "watchdog_events", None)
-    if watchdog_events is None:  # scalar session: the watchdog keeps them
-        watchdog = getattr(lane, "watchdog", None)
-        watchdog_events = watchdog.events if watchdog is not None else []
+    watchdog_events = lane.watchdog_events
     for order, event in enumerate(watchdog_events[cursor.n_watchdog:]):
         keyed.append((event.interval_index, _FEED_RANK["watchdog"], order,
                       EventRecord(
@@ -116,5 +114,5 @@ def extract_lane_events(lane: BatchLane, cursor: EventCursor = EventCursor()
                           kind=event.action.value,
                           detail=f"{event.reason}: {event.detail}")))
     return _merge(keyed), EventCursor(
-        n_gpd=n_gpd, n_reports=n_reports,
+        n_gpd=n_gpd, n_reports=len(reports),
         n_watchdog=len(watchdog_events))

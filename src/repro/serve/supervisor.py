@@ -30,7 +30,7 @@ pressure             response
 ===================  ====================================================
 full input queue     bounded blocking ``put`` with exponential-backoff
                      retries (``dispatch_timeout`` / ``dispatch_retries``
-                     / ``dispatch_backoff``)
+                     / :data:`DISPATCH_BACKOFF`)
 retries exhausted    :class:`~repro.serve.governor.StreamGovernor` trips
                      the stream: suspension with watchdog-style backoff,
                      then blacklist (the batch is shed, counted, and
@@ -75,7 +75,13 @@ from repro.serve.messages import (Batch, BatchAck, Shutdown,
 from repro.serve.worker import worker_main
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["FleetSupervisor"]
+__all__ = ["FleetSupervisor", "run_fleet"]
+
+#: Virtual nodes per shard on the consistent-hash ring.
+HASH_REPLICAS = 64
+
+#: Base seconds between dispatch retries (doubles per retry).
+DISPATCH_BACKOFF = 0.05
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -133,7 +139,7 @@ class FleetSupervisor:
         self.snapshot_dir = str(snapshot_dir)
         self.faults = faults or ServiceFaultPlan()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ring = HashRing(config.n_shards, config.hash_replicas)
+        self.ring = HashRing(config.n_shards, HASH_REPLICAS)
         self._ctx = _mp_context()
         #: Set by shutdown(): from then on a death is final.
         self._stopping = False
@@ -148,7 +154,7 @@ class FleetSupervisor:
         #: stream -> stream_seq -> event delta from the first ack.
         self._events: dict[str, dict[int, tuple[EventRecord, ...]]] = {
             s: {} for s in self.streams}
-        self.governor = StreamGovernor(config.governor)
+        self.governor = StreamGovernor()
         # Fatal worker-side specs, consumed (lowest at_seq first) as
         # deaths are observed, so a respawned incarnation does not
         # re-fire the fault that killed its predecessor.
@@ -304,7 +310,7 @@ class FleetSupervisor:
 
     def _enqueue(self, state: _ShardState, message: Batch) -> bool:
         """Bounded put with exponential backoff; False when it gives up."""
-        delay = self.config.dispatch_backoff
+        delay = DISPATCH_BACKOFF
         for attempt in range(self.config.dispatch_retries):
             if self._put(state, message):
                 return True
@@ -541,3 +547,38 @@ class FleetSupervisor:
             "divergences": self.divergences,
             "governor": self.governor.summary(),
         }
+
+
+def run_fleet(config: ServeConfig, batches: dict[str, list[np.ndarray]],
+              snapshot_dir: str, faults: ServiceFaultPlan | None = None,
+              timeout: float = 60.0
+              ) -> tuple[dict[str, tuple[EventRecord, ...]], dict,
+                         dict[int, int | None]]:
+    """Serve *batches* through one fleet, then stop it.
+
+    Submits each stream's batches round by round (every stream's first
+    batch, then every second one), drains within *timeout* seconds and
+    shuts down gracefully.  Returns each stream's events assembled from
+    acks, :meth:`FleetSupervisor.summary` and every shard's exit code.
+    """
+    fleet = FleetSupervisor(config, list(batches), snapshot_dir,
+                            faults=faults)
+    try:
+        fleet.start()
+        rounds = max((len(chunks) for chunks in batches.values()),
+                     default=0)
+        for round_index in range(rounds):
+            for stream, chunks in batches.items():
+                if round_index < len(chunks):
+                    fleet.submit(stream, chunks[round_index])
+        fleet.drain(timeout=timeout)
+        events = {stream: fleet.stream_events(stream) for stream in batches}
+        summary = fleet.summary()
+    except BaseException:
+        # Reap the workers before the error propagates: live daemon
+        # children would meet the interpreter's unbounded exit-time
+        # joins, and a caller's temporary snapshot directory would be
+        # deleted under a running fleet.
+        fleet.shutdown(graceful=False)
+        raise
+    return events, summary, fleet.shutdown(graceful=True)

@@ -50,7 +50,7 @@ from repro.errors import SnapshotError
 from repro.faults.service import (QueueStall, ServiceFaultPlan,
                                   TornSnapshot, WorkerCrash)
 from repro.serve.config import ServeConfig
-from repro.serve.events import EventCursor, extract_lane_events
+from repro.serve.events import EventCursor, EventRecord, extract_lane_events
 from repro.serve.messages import (AppliedBatch, Batch, BatchAck, Shutdown,
                                   SnapshotWritten, WorkerStarted)
 from repro.serve.snapshot import (ShardSnapshot, SnapshotStore,
@@ -58,10 +58,16 @@ from repro.serve.snapshot import (ShardSnapshot, SnapshotStore,
 from repro.telemetry.bus import EventBus
 
 __all__ = ["ShardWorker", "worker_main", "collect_round",
-           "CRASH_EXIT_CODE"]
+           "build_shard_session", "reference_events", "CRASH_EXIT_CODE",
+           "SNAPSHOT_KEEP"]
 
 #: Exit status of a fault-injected self-kill (mirrors SIGKILL's 128+9).
 CRASH_EXIT_CODE = 137
+
+#: Snapshot generations a worker keeps.  Recovery must survive a torn
+#: newest generation, which is why the supervisor's journal keeps every
+#: entry past the second-newest snapshot.
+SNAPSHOT_KEEP = 2
 
 
 def build_shard_session(config: ServeConfig,
@@ -84,6 +90,25 @@ def build_shard_session(config: ServeConfig,
     for stream in streams:
         session.add_lane(name=stream)
     return session
+
+
+def reference_events(config: ServeConfig,
+                     batches: dict[str, list[np.ndarray]]
+                     ) -> dict[str, tuple[EventRecord, ...]]:
+    """Each stream's events from one clean in-process shard session.
+
+    The session is fed *batches* stream by stream, stepping after every
+    batch.  A fleet given the same batches must assemble exactly these
+    sequences from its acks, whatever faults it survives.
+    """
+    streams = tuple(batches)
+    session = build_shard_session(config, streams)
+    for lane, stream in zip(session.lanes, streams):
+        for chunk in batches[stream]:
+            lane.feed_many(chunk)
+            session.process_ready()
+    return {stream: extract_lane_events(lane)[0]
+            for lane, stream in zip(session.lanes, streams)}
 
 
 @dataclass
@@ -341,8 +366,7 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
 
-    store = SnapshotStore(snapshot_dir, shard_id,
-                          keep=config.snapshot_keep)
+    store = SnapshotStore(snapshot_dir, shard_id, keep=SNAPSHOT_KEEP)
     worker = ShardWorker(shard_id, tuple(streams), config, store, faults)
     acks.send(WorkerStarted(shard=shard_id,
                             restored_seq=worker.restored_seq,

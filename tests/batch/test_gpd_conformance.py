@@ -4,8 +4,8 @@ Random centroid tracks (tight clusters, wild jumps, NaN gaps) and random
 buffer sizes (starvation path) advance through both paths; every
 observable — states, bands, drift ratios, events, observations and the
 full telemetry stream — must match exactly.  Real benchmark streams of
-unequal length (the ragged population) run as GPD-only ``BatchSession``
-lanes in ``test_session_conformance.py``.
+unequal length (the ragged population) run as GPD-only lanes in the
+conformance oracle's ``gpd-only-ragged`` scenario (``tests/conformance/``).
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.core.thresholds import GpdThresholds
 from repro.errors import ConfigError
 from repro.telemetry.bus import EventBus
 from repro.telemetry.sinks import InMemorySink
+from tests.conformance.compare import assert_gpd_identical
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -31,28 +32,6 @@ def random_centroid(rng):
     if mode < 3:
         return float(rng.uniform(0.0, 1e6))
     return 5e5 + float(rng.normal(0.0, 300.0))
-
-
-def assert_detectors_identical(scalar, view):
-    assert scalar.state == view.state
-    assert scalar.in_stable_phase == view.in_stable_phase
-    assert scalar.intervals_seen == view.intervals_seen
-    assert scalar.events == view.events
-    assert scalar.stable_interval_count() == view.stable_interval_count()
-    assert scalar.stable_time_fraction() == view.stable_time_fraction()
-    assert len(scalar.observations) == len(view.observations)
-    for a, b in zip(scalar.observations, view.observations):
-        assert a.interval_index == b.interval_index
-        assert a.centroid_value == b.centroid_value \
-            or (a.centroid_value != a.centroid_value
-                and b.centroid_value != b.centroid_value)
-        assert (a.band is None) == (b.band is None)
-        if a.band is not None:
-            assert a.band.expectation == b.band.expectation
-            assert a.band.sd == b.band.sd
-        assert a.drift_ratio == b.drift_ratio
-        assert a.state == b.state
-        assert a.event == b.event
 
 
 class TestBankConformance:
@@ -82,7 +61,7 @@ class TestBankConformance:
                 views, np.asarray(values, dtype=np.float64))
             assert scalar_events == batch_events
         for scalar, view in zip(scalars, views):
-            assert_detectors_identical(scalar, view)
+            assert_gpd_identical(scalar, view)
         assert sink_s.events == sink_b.events
 
     @given(seeds)
@@ -104,7 +83,7 @@ class TestBankConformance:
                 list(zip(views, buffers)))
             assert scalar_events == batch_events
         for scalar, view in zip(scalars, views):
-            assert_detectors_identical(scalar, view)
+            assert_gpd_identical(scalar, view)
 
     def test_single_detector_delegates(self):
         rng = np.random.default_rng(5)
@@ -116,10 +95,9 @@ class TestBankConformance:
             value = random_centroid(rng)
             assert scalar.observe_centroid(value) \
                 == view.observe_centroid(value)
-        assert_detectors_identical(scalar, view)
+        assert_gpd_identical(scalar, view)
 
     def test_mismatched_machine_config_rejected(self):
         bank = BatchGpdBank(dwell_intervals=2, history_length=8)
         with pytest.raises(ConfigError, match="dwell"):
             bank.add_detector(GpdThresholds(dwell_intervals=5))
-

@@ -16,6 +16,7 @@ from repro.core.lpd import LocalPhaseDetector
 from repro.core.thresholds import LpdThresholds
 from repro.telemetry.bus import EventBus
 from repro.telemetry.sinks import InMemorySink
+from tests.conformance.compare import assert_lpd_identical
 
 WIDTHS = (1, 2, 3, 5, 17, 40)
 
@@ -59,33 +60,6 @@ def paired_population(n_detectors, thresholds=None):
     return bank, scalars, views, sink_s, sink_b
 
 
-def assert_rows_identical(scalar, view):
-    assert scalar.state == view.state
-    assert scalar.in_stable_phase == view.in_stable_phase
-    assert scalar.active_intervals == view.active_intervals
-    assert scalar.stable_intervals == view.stable_intervals
-    assert scalar.effective_threshold == view.effective_threshold
-    if scalar.last_r == scalar.last_r:  # not NaN
-        assert scalar.last_r == view.last_r
-    else:
-        assert view.last_r != view.last_r
-    scalar_set, view_set = scalar.stable_set(), view.stable_set()
-    if scalar_set is None:
-        assert view_set is None
-    else:
-        assert view_set is not None
-        assert scalar_set.tobytes() == view_set.tobytes()
-    assert scalar.events == view.events
-    assert len(scalar.observations) == len(view.observations)
-    for a, b in zip(scalar.observations, view.observations):
-        assert a.interval_index == b.interval_index
-        assert a.had_samples == b.had_samples
-        assert a.state == b.state
-        assert a.event == b.event
-        assert a.r_value == b.r_value \
-            or (a.r_value != a.r_value and b.r_value != b.r_value)
-
-
 class TestBankConformance:
     @given(seeds,
            st.integers(min_value=1, max_value=24),
@@ -106,7 +80,7 @@ class TestBankConformance:
                  for i in range(n_detectors)])
             assert scalar_events == batch_events
         for scalar, view in zip(scalars, views):
-            assert_rows_identical(scalar, view)
+            assert_lpd_identical(scalar, view)
         assert sink_s.events == sink_b.events
 
     @given(seeds)
@@ -126,7 +100,7 @@ class TestBankConformance:
                 [(views[i], histograms[i], interval) for i in range(3)])
             assert scalar_events == batch_events
         for scalar, view in zip(scalars, views):
-            assert_rows_identical(scalar, view)
+            assert_lpd_identical(scalar, view)
         assert sink_s.events == sink_b.events
 
     def test_single_item_observe_delegates(self):
@@ -136,7 +110,7 @@ class TestBankConformance:
             histogram = rng.integers(0, 30, size=1)
             assert scalars[0].observe(histogram, interval) \
                 == views[0].observe(histogram, interval)
-        assert_rows_identical(scalars[0], views[0])
+        assert_lpd_identical(scalars[0], views[0])
 
     def test_grouped_path_bit_identical_to_scalar(self):
         # The dense fleet fast path must honor every hold the scalar
@@ -163,7 +137,7 @@ class TestBankConformance:
             batch_events = bank.observe_grouped(group, block, interval)
             assert scalar_events == batch_events
         for scalar, view in zip(scalars, views):
-            assert_rows_identical(scalar, view)
+            assert_lpd_identical(scalar, view)
         assert sink_s.events == sink_b.events
 
     @given(seeds)
@@ -212,4 +186,4 @@ class TestBankConformance:
             histogram = rng.integers(0, 30, size=8)
             assert scalar.observe(histogram, interval) \
                 == bank.observe_many([(view, histogram, interval)])[0]
-        assert_rows_identical(scalar, view)
+        assert_lpd_identical(scalar, view)

@@ -28,6 +28,7 @@ from repro.regions.registry import RegionRegistry
 from repro.sampling import simulate_sampling
 from tests.attribution_oracle import (ORACLES, ScalarListAttributor,
                                       ScalarTreeAttributor)
+from tests.conformance.compare import assert_monitors_identical
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -206,7 +207,7 @@ def monitor_pipeline(seed: int, attribution: str,
     """A random-program monitor run; *oracle* swaps in the scalar
     reference of the *attribution* strategy."""
     program = random_program(seed, duration_cycles=5_000_000)
-    stream = simulate_sampling(program.regions, program.workload, 25_000,
+    stream = simulate_sampling(program.regions, program.workload, 2_500,
                                seed=seed)
     monitor = RegionMonitor(program.binary,
                             MonitorThresholds(buffer_size=256),
@@ -216,17 +217,6 @@ def monitor_pipeline(seed: int, attribution: str,
                                                   monitor.ledger)
     monitor.process_stream(stream)
     return monitor
-
-
-def assert_monitors_identical(batched: RegionMonitor,
-                              scalar: RegionMonitor) -> None:
-    assert batched.intervals_processed == scalar.intervals_processed
-    assert batched.phase_change_counts() == scalar.phase_change_counts()
-    assert batched.stable_time_fractions() == scalar.stable_time_fractions()
-    for mine, reference in zip(batched.reports, scalar.reports):
-        assert mine.region_samples == reference.region_samples
-        assert mine.ucr_fraction == reference.ucr_fraction
-    assert_ledgers_identical(batched.ledger, scalar.ledger)
 
 
 class TestMonitorPipelineEquivalence:

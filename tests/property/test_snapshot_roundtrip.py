@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import model_stream
 
-from repro.serve import ServeConfig, ShardWorker
+from repro.serve import SNAPSHOT_KEEP, ServeConfig, ShardWorker
 from repro.serve.messages import Batch
 from repro.serve.snapshot import SnapshotStore
 
@@ -40,7 +40,7 @@ def _config():
 
 def _make_worker(directory, config, subdir):
     store = SnapshotStore(directory / subdir, shard_id=0,
-                          keep=config.snapshot_keep)
+                          keep=SNAPSHOT_KEEP)
     return ShardWorker(0, STREAMS, config, store)
 
 

@@ -1,9 +1,9 @@
 """Dead-worker detection: a death wakes the supervisor through its sentinel.
 
-Each fleet here is checked the way the chaos differential checks its
-fleet: every stream's events, assembled from acks, must be bit-identical
-to one clean in-process :class:`~repro.batch.session.BatchSession` fed
-the same batches.  No test bounds wall time; CI hosts are oversubscribed.
+Each fleet that finishes its run is held to the conformance oracle's
+scalar reference: every stream's events, assembled from acks, must be
+bit-identical to the scalar pipeline fed the same batches.  No test
+bounds wall time; CI hosts are oversubscribed.
 """
 
 import os
@@ -14,18 +14,19 @@ import time
 import numpy as np
 import pytest
 
-from tests.conftest import model_stream
-
 import repro.serve.supervisor as supervisor_module
 from repro.faults.service import ServiceFaultPlan, WorkerCrash
-from repro.serve import (FleetSupervisor, ServeConfig, build_shard_session,
-                         extract_lane_events)
+from repro.serve import FleetSupervisor
 from repro.serve.messages import Batch
 from repro.serve.worker import CRASH_EXIT_CODE
+from tests.conformance.engines import run_scalar
+from tests.conformance.scenarios import Lane, Scenario
 
-N_STREAMS = 6
-STREAM_POOL = 3
-INTERVALS_PER_STREAM = 8
+#: Six streams over three PMU seeds, eight intervals in four batches each.
+SCENARIO = Scenario("liveness", tuple(
+    Lane(seed=7 + i % 3, limit=8 * 2032) for i in range(6)),
+    buffer_size=2032, chunk=2 * 2032)
+N_STREAMS = len(SCENARIO.lanes)
 BATCHES_PER_STREAM = 4
 N_BATCHES = N_STREAMS * BATCHES_PER_STREAM
 
@@ -35,36 +36,19 @@ posix_signals = pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
 
 @pytest.fixture(scope="module")
 def fixture_batches():
-    model, _ = model_stream("181.mcf")
-    budget = INTERVALS_PER_STREAM * 2032
-    pool = [model_stream("181.mcf", seed=7 + i)[1].pcs[:budget]
-            for i in range(STREAM_POOL)]
-    batches = {f"stream{i:02d}": [
-        np.asarray(chunk, dtype=np.int64) for chunk in
-        np.array_split(pool[i % STREAM_POOL], BATCHES_PER_STREAM)]
-        for i in range(N_STREAMS)}
-    return model, batches
+    return SCENARIO.batches()
 
 
 @pytest.fixture(scope="module")
-def oracle(fixture_batches):
-    """Per-stream event sequences from one clean in-process session."""
-    model, batches = fixture_batches
-    streams = tuple(batches)
-    session = build_shard_session(ServeConfig(binary=model.binary), streams)
-    for lane, stream in zip(session.lanes, streams):
-        for chunk in batches[stream]:
-            lane.feed_many(chunk)
-            session.process_ready()
-    events = {stream: extract_lane_events(lane)[0]
-              for lane, stream in zip(session.lanes, streams)}
+def oracle():
+    """Per-stream event sequences from the scalar pipeline."""
+    events = run_scalar(SCENARIO).events
     assert any(events.values())
     return events
 
 
-def make_fleet(model, batches, snapshot_dir, n_shards, faults=None):
-    config = ServeConfig(binary=model.binary, n_shards=n_shards,
-                         snapshot_every=4)
+def make_fleet(batches, snapshot_dir, n_shards, faults=None, **knobs):
+    config = SCENARIO.serve_config(n_shards=n_shards, **knobs)
     return FleetSupervisor(config, list(batches), str(snapshot_dir),
                            faults=faults)
 
@@ -145,10 +129,10 @@ def test_one_shard_fleet_recovers_bit_identically(tmp_path, fixture_batches,
     # The crash opens the last round, so its batches need the successor,
     # and the drain starts only after the worker is gone, so its wait
     # finds both handles ready at once.
-    model, batches = fixture_batches
+    batches = fixture_batches
     crash = WorkerCrash(shard=0, at_seq=N_BATCHES - N_STREAMS,
                         before_ack=before_ack)
-    fleet = make_fleet(model, batches, tmp_path, n_shards=1,
+    fleet = make_fleet(batches, tmp_path, n_shards=1, snapshot_every=4,
                        faults=ServiceFaultPlan((crash,)))
     watch = Watch(fleet, monkeypatch)
     try:
@@ -182,8 +166,8 @@ def test_outside_kill_is_seen_through_the_sentinel(tmp_path, fixture_batches,
     # in_q.get(), holding the queue's reader lock, and it never runs its
     # exit path.  The worker is stopped first, so the second half's
     # submits see no death: the drain's wait is what sees it die.
-    model, batches = fixture_batches
-    fleet = make_fleet(model, batches, tmp_path, n_shards=2)
+    batches = fixture_batches
+    fleet = make_fleet(batches, tmp_path, n_shards=2, snapshot_every=4)
     watch = Watch(fleet, monkeypatch)
     try:
         fleet.start()
@@ -212,8 +196,8 @@ def test_outside_kill_is_seen_through_the_sentinel(tmp_path, fixture_batches,
 
 @posix_signals
 def test_no_respawn_once_shutdown_begins(tmp_path, fixture_batches):
-    model, batches = fixture_batches
-    fleet = make_fleet(model, batches, tmp_path, n_shards=2)
+    fleet = make_fleet(fixture_batches, tmp_path, n_shards=2,
+                       snapshot_every=4)
     try:
         fleet.start()
         victim = fleet._shards[1].process
@@ -233,10 +217,8 @@ def test_shutdown_reaches_a_worker_blocked_on_its_ack_pipe(
     # queue full.  Shutdown must read the acks before it queues its
     # message; otherwise the message is dropped and the worker is
     # still running when the graceful wait ends.
-    model, batches = fixture_batches
-    config = ServeConfig(binary=model.binary, n_shards=1, queue_capacity=8,
-                         dispatch_timeout=5.0)
-    fleet = FleetSupervisor(config, ["stream00"], str(tmp_path))
+    fleet = make_fleet(["lane0"], tmp_path, n_shards=1, queue_capacity=8,
+                       dispatch_timeout=5.0)
     stragglers = []
     real_reap = fleet._reap
 
@@ -246,13 +228,13 @@ def test_shutdown_reaches_a_worker_blocked_on_its_ack_pipe(
         return left
 
     monkeypatch.setattr(fleet, "_reap", recording_reap)
-    samples = np.concatenate(batches["stream00"])
+    samples = np.concatenate(fixture_batches["lane0"])
     try:
         fleet.start()
         in_q = fleet._shards[0].in_q
         for seq in range(len(samples) // 16):
             try:
-                in_q.put(Batch(seq=seq, stream="stream00", stream_seq=seq,
+                in_q.put(Batch(seq=seq, stream="lane0", stream_seq=seq,
                                samples=samples[16 * seq:16 * (seq + 1)]),
                          timeout=2.0)
             except queue.Full:

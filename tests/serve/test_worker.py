@@ -7,7 +7,7 @@ from tests.conftest import model_stream
 
 from repro.errors import SnapshotError
 from repro.faults.service import ServiceFaultPlan, TornSnapshot, WorkerCrash
-from repro.serve import ServeConfig, ShardWorker
+from repro.serve import SNAPSHOT_KEEP, ServeConfig, ShardWorker
 from repro.serve.messages import Batch
 from repro.serve.snapshot import SnapshotStore, read_snapshot
 
@@ -35,7 +35,7 @@ def setup(tmp_path):
 
 def make_worker(tmp_path, config, streams, faults=None, subdir="snaps"):
     store = SnapshotStore(tmp_path / subdir, shard_id=0,
-                          keep=config.snapshot_keep)
+                          keep=SNAPSHOT_KEEP)
     return ShardWorker(0, streams, config, store, faults)
 
 
