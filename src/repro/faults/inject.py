@@ -7,6 +7,18 @@ arrays.  Determinism contract: the output is a pure function of
 independent of each other's draw counts and a plan prefix always produces
 the same intermediate stream.
 
+The draw-level contract the transformers rest on:
+
+* spec *i* draws whole arrays, one value per sample, from its own
+  generator, in a fixed order;
+* a transformer may transform a draw only where the draw is used, as
+  long as the generator consumes the same words — a bursty drop draws
+  ``standard_exponential`` where the burst lengths are
+  ``geometric``, because NumPy's geometric inverts exactly those draws
+  (pinned by a test on the installed NumPy);
+* transformers never write into their inputs, so :func:`inject` copies
+  only the arrays no spec replaced, and no output aliases the input.
+
 Two invariants every transformer preserves (property-tested):
 
 * cycle stamps stay monotone non-decreasing, so interval slicing stays
@@ -20,6 +32,8 @@ construction, and cache-friendly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,28 +55,32 @@ def _rng_for(seed: int, spec_index: int) -> np.random.Generator:
 
 
 class _Arrays:
-    """Mutable working copy of a stream's parallel arrays."""
+    """A stream's parallel arrays as the plan transforms them.
+
+    They start out as the input stream's own arrays.  A transformer
+    replaces an array with a new one and never writes into the one it
+    replaces, so no copy is taken up front.
+    """
 
     def __init__(self, stream: SampleStream) -> None:
-        self.pcs = stream.pcs.copy()
-        self.cycles = stream.cycles.copy()
-        self.miss = stream.dcache_miss.copy()
-        self.rids = stream.region_ids.copy()
-        self.instr = (None if stream.instr_delta is None
-                      else stream.instr_delta.copy())
+        self.pcs = stream.pcs
+        self.cycles = stream.cycles
+        self.miss = stream.dcache_miss
+        self.rids = stream.region_ids
+        self.instr = stream.instr_delta
 
     @property
     def n(self) -> int:
         return int(self.pcs.size)
 
-    def select(self, keep: np.ndarray) -> None:
-        """Apply a boolean keep-mask (drop/stall) to every array."""
-        self.pcs = self.pcs[keep]
-        self.cycles = self.cycles[keep]
-        self.miss = self.miss[keep]
-        self.rids = self.rids[keep]
+    def take(self, index: np.ndarray) -> None:
+        """Keep the samples at ascending *index* in every array."""
+        self.pcs = self.pcs[index]
+        self.cycles = self.cycles[index]
+        self.miss = self.miss[index]
+        self.rids = self.rids[index]
         if self.instr is not None:
-            self.instr = self.instr[keep]
+            self.instr = self.instr[index]
 
     def repeat(self, counts: np.ndarray) -> None:
         """Repeat each sample ``counts[i]`` times (duplication)."""
@@ -73,6 +91,50 @@ class _Arrays:
         if self.instr is not None:
             self.instr = np.repeat(self.instr, counts)
 
+    def to_stream(self, stream: SampleStream) -> SampleStream:
+        """The faulted stream; arrays no spec replaced are copied from
+        *stream*, so no output array aliases an input array."""
+        def own(array, original):
+            return array.copy() if array is original else array
+
+        return SampleStream(
+            pcs=own(self.pcs, stream.pcs),
+            cycles=own(self.cycles, stream.cycles),
+            dcache_miss=own(self.miss, stream.dcache_miss),
+            region_ids=own(self.rids, stream.region_ids),
+            region_names=stream.region_names,
+            sampling_period=stream.sampling_period,
+            total_cycles=stream.total_cycles,
+            instr_delta=(None if self.instr is None
+                         else own(self.instr, stream.instr_delta)))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(a, b) for a, b in zip(lo, hi)])``, written
+    to the front of the int64 buffer *out*; returns that part.
+
+    The ranges must be ascending and disjoint; empty ones are skipped.
+    """
+    nonempty = hi > lo
+    lo = lo[nonempty]
+    hi = hi[nonempty]
+    sizes = hi - lo
+    index = out[:int(sizes.sum())]
+    if index.size:
+        # Steps of one, except that each range opens with the step from
+        # the end of the one before; the running sum counts through.
+        index.fill(1)
+        index[0] = lo[0]
+        index[np.cumsum(sizes[:-1])] = lo[1:] - hi[:-1] + 1
+        np.cumsum(index, out=index)
+    return index
+
+
+#: NumPy's ``Generator.geometric(p)`` inverts one standard exponential
+#: per value below this ``p``, and searches (a variable number of
+#: uniforms per value) at or above it.
+_GEOMETRIC_SEARCH_P = 1.0 / 3.0
+
 
 # -- per-spec transformers ---------------------------------------------------
 
@@ -82,24 +144,34 @@ def _apply_drop(arrays: _Arrays, spec: SampleDrop,
     if n == 0:
         return
     if spec.burst_mean <= 1.0:
-        keep = rng.random(n) >= spec.rate
-        arrays.select(keep)
+        arrays.take(np.flatnonzero(rng.random(n) >= spec.rate))
         return
     # Bursty losses: burst starts are thinned so the marginal drop
     # probability stays `rate`; each burst's length is geometric with
-    # mean `burst_mean`.
-    start_p = spec.rate / spec.burst_mean
-    starts = rng.random(n) < start_p
-    lengths = rng.geometric(1.0 / spec.burst_mean, size=n)
-    # A burst starting at i drops [i, i + length).  Sample j is dropped
-    # iff some burst starting at or before j ends past j, i.e. iff the
-    # running maximum of the burst ends up to j exceeds j — the same
-    # mask as clearing each burst's span in turn, bursts that run past
-    # the end of the stream included.
-    index = np.arange(n)
-    ends = np.where(starts, index + lengths, 0)
-    keep = np.maximum.accumulate(ends) <= index
-    arrays.select(keep)
+    # mean `burst_mean`, drawn for every sample and used at the starts.
+    # One stream-length buffer holds the uniforms, then the
+    # exponentials, then the kept index: with a new array for each, the
+    # glibc heap of a 256-lane fleet pass settled about 40 MiB higher.
+    draws = rng.random(n)
+    starts = np.flatnonzero(draws < spec.rate / spec.burst_mean)
+    p = 1.0 / spec.burst_mean
+    if 0.0 < p < _GEOMETRIC_SEARCH_P:
+        # `rng.geometric(p, n)`'s own draws and arithmetic, converted
+        # only where a burst starts: the same words, the same lengths.
+        rng.standard_exponential(out=draws)
+        lengths = np.ceil(-draws[starts] / math.log1p(-p))
+    else:
+        lengths = rng.geometric(p, size=n)[starts]
+    # A burst starting at i drops [i, i + length), clipped to the stream.
+    # Sample j is dropped iff some burst starting at or before j ends
+    # past j.  So the kept samples are the run before the first start
+    # and, after each start, the run from the farthest burst end so far
+    # to the next start or the end of the stream: the same samples as
+    # clearing each burst's span in turn.
+    ends = np.minimum(starts + lengths, n).astype(np.int64)
+    lo = np.concatenate(([0], np.maximum.accumulate(ends)))
+    hi = np.concatenate((starts, [n]))
+    arrays.take(_ranges(lo, hi, out=draws.view(np.int64)))
 
 
 def _apply_skid(arrays: _Arrays, spec: PcSkid,
@@ -185,7 +257,7 @@ def _apply_stall(arrays: _Arrays, spec: InterruptStall,
         cursor = last + 1
     if coalesced is not None:
         arrays.instr = coalesced
-    arrays.select(keep)
+    arrays.take(np.flatnonzero(keep))
 
 
 _TRANSFORMERS = {
@@ -219,11 +291,7 @@ def inject(stream: SampleStream, plan: FaultPlan,
             raise FaultError(
                 f"no transformer for fault spec {type(spec).__name__}")
         transformer(arrays, spec, _rng_for(seed, index))
-    return SampleStream(
-        pcs=arrays.pcs, cycles=arrays.cycles, dcache_miss=arrays.miss,
-        region_ids=arrays.rids, region_names=stream.region_names,
-        sampling_period=stream.sampling_period,
-        total_cycles=stream.total_cycles, instr_delta=arrays.instr)
+    return arrays.to_stream(stream)
 
 
 def simulate_faulty_sampling(regions, workload, sampling_period: int,

@@ -29,6 +29,25 @@ from repro.sampling.events import SampleStream
 
 __all__ = ["PMUSimulator", "simulate_sampling"]
 
+#: ``Generator.choice``'s tolerance on the sum of ``p``.
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The normalized cumulative distribution of the probabilities *p*.
+
+    *p* is validated as ``Generator.choice`` validates it: finite,
+    non-negative and summing to 1.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            and abs(p.sum() - 1.0) <= _P_ATOL):
+        raise SamplingError(
+            "probabilities must be finite, non-negative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
 
 class PMUSimulator:
     """Generates a :class:`SampleStream` for one (workload, period) pair.
@@ -61,6 +80,8 @@ class PMUSimulator:
         self.sampling_period = sampling_period
         self.jitter = jitter
         self._rng = np.random.default_rng(seed)
+        #: cdf per mixture and per (region, profile), built on first use.
+        self._cdfs: dict[object, np.ndarray] = {}
         for name in workload.region_names():
             if name not in self.regions:
                 raise WorkloadError(
@@ -136,7 +157,6 @@ class PMUSimulator:
                                                            np.ndarray]:
         """Draw *n* time-ordered samples for one timeline piece."""
         components = piece.mix.components
-        weights = piece.mix.weights
         pcs = np.empty(n, dtype=np.int64)
         miss = np.empty(n, dtype=bool)
         rids = np.empty(n, dtype=np.int32)
@@ -144,16 +164,15 @@ class PMUSimulator:
         if len(components) == 1:
             component_choice = np.zeros(n, dtype=np.intp)
         else:
-            component_choice = self._rng.choice(len(components), size=n,
-                                                p=weights)
+            component_choice = self._draw(piece.mix, piece.mix.weights, n)
         for index, component in enumerate(components):
             mask = component_choice == index
             count = int(mask.sum())
             if count == 0:
                 continue
             spec = self.regions[component.region]
-            profile = spec.profile(component.profile)
-            slots = self._rng.choice(profile.size, size=count, p=profile)
+            slots = self._draw((component.region, component.profile),
+                               spec.profile(component.profile), count)
             pcs[mask] = spec.start + slots.astype(np.int64) \
                 * INSTRUCTION_BYTES
             miss[mask] = self._rng.random(count) < spec.dpi
@@ -164,6 +183,15 @@ class PMUSimulator:
             noise = self._rng.uniform(0.95, 1.05, size=count)
             instr[mask] = self.sampling_period / spec.cpi * noise
         return pcs, miss, rids, instr
+
+    def _draw(self, key: object, p: np.ndarray, n: int) -> np.ndarray:
+        """*n* indices distributed as *p*: ``rng.choice(p.size, n, p=p)``'s
+        words and values, searched in a cdf cached under *key* instead of
+        one validated and summed on every call."""
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            cdf = self._cdfs[key] = _cdf(p)
+        return cdf.searchsorted(self._rng.random(n), side="right")
 
 
 def simulate_sampling(regions: dict[str, RegionSpec],

@@ -365,6 +365,9 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
 
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
+    # An orphan is handed to another parent.  Its input queue never
+    # reads end-of-file, because the worker holds a write end itself.
+    supervisor = os.getppid()
 
     store = SnapshotStore(snapshot_dir, shard_id, keep=SNAPSHOT_KEEP)
     worker = ShardWorker(shard_id, tuple(streams), config, store, faults)
@@ -381,6 +384,8 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
             try:
                 message = in_q.get(timeout=0.05)
             except queue.Empty:
+                if os.getppid() != supervisor:
+                    break  # the supervisor died: leave as on SIGTERM
                 continue
         if isinstance(message, Shutdown):
             if message.final_snapshot:
@@ -404,11 +409,11 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
                 acks.send(worker.take_snapshot())
             except SnapshotError:
                 os._exit(CRASH_EXIT_CODE)  # torn write == death mid-checkpoint
-    # SIGTERM/SIGINT: persist a final snapshot, then exit cleanly.  The
-    # on-disk snapshot is what recovery needs; the notice is only
-    # advisory.  A supervisor that is gone (a broken pipe) or not
-    # reading (a full pipe, which the non-blocking write reports as an
-    # error) must not turn this exit into a hang.
+    # SIGTERM/SIGINT, or the supervisor died: persist a final snapshot,
+    # then exit cleanly.  The on-disk snapshot is what recovery needs;
+    # the notice is only advisory.  A supervisor that is gone (a broken
+    # pipe) or not reading (a full pipe, which the non-blocking write
+    # reports as an error) must not turn this exit into a hang.
     written = worker.take_snapshot()
     try:
         os.set_blocking(acks.fileno(), False)

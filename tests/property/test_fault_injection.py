@@ -3,17 +3,22 @@
 Pins the injector's contract: a plan is a pure function of
 ``(stream, plan, seed)``; cycle stamps stay monotone; PCs stay inside
 the stream's observed text range unless the plan corrupts bits; the
-empty / all-no-op plan is byte-identical (the same object, even); and a
-bursty drop keeps exactly the samples the per-burst reference loop keeps.
+empty / all-no-op plan is byte-identical (the same object, even); no
+output array aliases an input array; and a bursty drop keeps exactly the
+samples the per-burst reference loop keeps.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import (DuplicateSamples, FaultPlan, InterruptStall,
                           PcBitCorruption, PcSkid, PeriodDrift,
                           PeriodJitter, SampleDrop, inject)
+from repro.experiments.extra_fault_sweep import PLANS
 from repro.faults.inject import _rng_for
 from repro.program.behavior import RegionSpec
 from repro.program.workload import Steady, WorkloadScript, mixture
@@ -162,6 +167,43 @@ class TestNoOpPlans:
         monitor.process_stream(out)  # must not raise
 
 
+STREAM_ARRAYS = ("pcs", "cycles", "dcache_miss", "region_ids", "instr_delta")
+
+#: Each spec kind alone (a drop both i.i.d. and bursty), and the fault
+#: sweep's two-spec plan.
+ONE_SPEC_PLANS = {
+    "drop": FaultPlan((SampleDrop(rate=0.2),)),
+    "bursty-drop": FaultPlan((SampleDrop(rate=0.2, burst_mean=4.0),)),
+    "skid": FaultPlan((PcSkid(scale=2.0),)),
+    "jitter": FaultPlan((PeriodJitter(fraction=0.2),)),
+    "drift": FaultPlan((PeriodDrift(rate=0.5),)),
+    "duplicate": FaultPlan((DuplicateSamples(rate=0.2),)),
+    "corrupt": FaultPlan((PcBitCorruption(rate=0.2),)),
+    "stall": FaultPlan((InterruptStall(rate=0.2),)),
+    "drop20+skid": dict(PLANS)["drop20+skid"],
+}
+
+
+class TestNoAliasing:
+    """Transformers build new arrays and ``inject`` copies only the ones
+    no spec replaced, so writing into an output never reaches the input."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_SPEC_PLANS))
+    def test_outputs_own_their_memory(self, name):
+        stream = stream_for_seed(4)
+        before = [getattr(stream, field).copy() for field in STREAM_ARRAYS]
+        out = inject(stream, ONE_SPEC_PLANS[name], seed=5)
+        assert out is not stream
+        for field in STREAM_ARRAYS:
+            for source in STREAM_ARRAYS:
+                assert not np.shares_memory(getattr(out, field),
+                                            getattr(stream, source))
+        for field in STREAM_ARRAYS:
+            getattr(out, field)[...] = 1
+        for field, original in zip(STREAM_ARRAYS, before):
+            assert np.array_equal(getattr(stream, field), original)
+
+
 def numbered_stream(index):
     """A stream whose five arrays all encode each sample's *index*."""
     return SampleStream(
@@ -203,6 +245,9 @@ class TestBurstyDropOracle:
            st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
            st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
            seeds)
+    # NumPy's geometric searches at p = 1/3 and inverts just below it.
+    @example(2000, 0.5, 3.0, 11)
+    @example(2000, 0.5, float(np.nextafter(3.0, 4.0)), 11)
     @settings(max_examples=80, deadline=None)
     def test_inject_keeps_exactly_the_reference_samples(
             self, n, rate, burst_mean, seed):
@@ -212,3 +257,14 @@ class TestBurstyDropOracle:
         overruns = sum(check_bursty_drop(24, 0.6, 8.0, seed)
                        for seed in range(40))
         assert overruns > 0
+
+
+@pytest.mark.parametrize("p", [0.25, float(np.nextafter(1 / 3, 0.0)), 1e-3])
+def test_geometric_is_an_inverted_standard_exponential(p):
+    # The bursty drop draws `standard_exponential` and converts it where
+    # a burst starts; that equals `geometric` word for word below p = 1/3
+    # on the installed NumPy (pyproject allows any numpy>=1.23).
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    lengths = np.ceil(-ours.standard_exponential(5000) / math.log1p(-p))
+    assert np.array_equal(lengths, theirs.geometric(p, size=5000))
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -9,7 +9,7 @@ from repro.program.workload import (Periodic, Steady, WorkloadScript,
                                     mixture)
 from repro.sampling.buffer import SampleBuffer
 from repro.sampling.events import SampleStream
-from repro.sampling.pmu import PMUSimulator, simulate_sampling
+from repro.sampling.pmu import PMUSimulator, _cdf, simulate_sampling
 
 REGION_A = RegionSpec("a", 0x1000, 0x1100,
                       profiles={"main": bottleneck_profile(64, {10: 50.0})},
@@ -116,6 +116,37 @@ class TestSimulation:
         stream = simulate_sampling(REGIONS, script, 10_000)
         assert stream.n_samples == 0
         assert stream.n_intervals(16) == 0
+
+
+class TestCachedCdfDraws:
+    """The simulator draws from cached cdfs instead of through
+    ``Generator.choice``.  Both must give the same values from the same
+    words on the installed NumPy (``pyproject.toml`` allows any
+    ``numpy>=1.23``)."""
+
+    def test_matches_generator_choice(self):
+        script = WorkloadScript([Steady(1000, mixture(("a", 1.0)))])
+        cases = np.random.default_rng(2024)
+        for case in range(200):
+            k = int(cases.integers(1, 301))
+            n = int(cases.integers(0, 501))
+            weights = cases.random(k) * (cases.random(k) < 0.8)
+            weights[cases.integers(k)] += 0.5  # never all zero
+            p = weights / weights.sum()
+            simulator = PMUSimulator(REGIONS, script, 1000, seed=case)
+            theirs = np.random.default_rng(case)
+            assert np.array_equal(simulator._draw("p", p, n),
+                                  theirs.choice(k, size=n, p=p))
+            assert simulator._rng.bit_generator.state \
+                == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("p", [[0.5, 0.6], [1.5, -0.5],
+                                   [np.nan, 1.0], [np.inf, 0.0]])
+    def test_rejects_what_choice_rejects(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, size=1, p=p)
+        with pytest.raises(SamplingError):
+            _cdf(np.array(p))
 
 
 class TestSampleStream:

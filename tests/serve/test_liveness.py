@@ -9,7 +9,10 @@ bounds wall time; CI hosts are oversubscribed.
 import os
 import queue
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,18 @@ N_BATCHES = N_STREAMS * BATCHES_PER_STREAM
 
 posix_signals = pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
                                    reason="needs POSIX signals")
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Starts a one-shard fleet, prints its worker's pid, then waits.
+ORPHANING_SUPERVISOR = (
+    "import sys, time\n"
+    "from repro.serve import FleetSupervisor, ServeConfig\n"
+    "fleet = FleetSupervisor(ServeConfig(n_shards=1), ['lane0'],\n"
+    "                        sys.argv[1])\n"
+    "fleet.start()\n"
+    "print(fleet._shards[0].process.pid, flush=True)\n"
+    "time.sleep(120)\n")
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +223,42 @@ def test_no_respawn_once_shutdown_begins(tmp_path, fixture_batches):
     assert exit_codes == {0: 0, 1: -signal.SIGKILL}
     assert fleet.summary()["restarts"] == 0
     assert worker_up(fleet, 1) == 0.0
+
+
+def exited(pid):
+    """Whether process *pid* is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@posix_signals
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_worker_exits_when_its_supervisor_is_killed(tmp_path):
+    # SIGKILL gives the supervisor no exit path, and the orphaned worker
+    # holds a write end of its own input queue, so the queue never reads
+    # end-of-file: the worker must see that its parent is gone.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", ORPHANING_SUPERVISOR, str(tmp_path)],
+        cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(supervisor.stdout.readline())
+    finally:
+        supervisor.kill()
+        supervisor.wait()
+        supervisor.stdout.close()  # the worker holds the write end
+    deadline = time.monotonic() + 2.0
+    while not exited(worker) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    gone = exited(worker)
+    if not gone:
+        os.kill(worker, signal.SIGKILL)
+    assert gone
 
 
 def test_shutdown_reaches_a_worker_blocked_on_its_ack_pipe(
