@@ -344,8 +344,10 @@ class BatchGpdBank:
                     had_band[live_positions] = True
                 E, SD = expectation, sd
             else:
-                # Band statistics, grouped by exact history fill count.
-                for fill in np.unique(fills[banded]):
+                # Band statistics, grouped by exact history fill count
+                # (ascending; bincount, not np.unique, which imports
+                # numpy.ma on first use).
+                for fill in np.flatnonzero(np.bincount(fills[banded])):
                     sel = fills == fill
                     block = self._hist[live_handles[sel], :fill]
                     expectation, sd = compiled.band_stats_rows(block)

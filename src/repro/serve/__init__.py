@@ -26,8 +26,9 @@ from repro.serve.events import EventCursor, EventRecord, extract_lane_events
 from repro.serve.governor import StreamGovernor
 from repro.serve.hashing import HashRing
 from repro.serve.journal import JournalEntry, ShardJournal
-from repro.serve.messages import (AppliedBatch, Batch, BatchAck, Shutdown,
-                                  SnapshotWritten, WorkerStarted)
+from repro.serve.messages import (AppliedBatch, Batch, BatchAck, Round,
+                                  RoundAck, Shutdown, SnapshotWritten,
+                                  WorkerStarted)
 from repro.serve.snapshot import (SNAPSHOT_FIELDS, SNAPSHOT_MAGIC,
                                   SNAPSHOT_VERSION, ShardSnapshot,
                                   SnapshotStore, decode_snapshot,
@@ -66,6 +67,8 @@ __all__ = [
     "extract_lane_events",
     "Batch",
     "BatchAck",
+    "Round",
+    "RoundAck",
     "AppliedBatch",
     "Shutdown",
     "WorkerStarted",

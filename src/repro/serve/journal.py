@@ -1,11 +1,13 @@
 """Supervisor-side sample journal: the replay source for recovery.
 
-Every batch dispatched to a shard is appended here *before* it is
-enqueued, keyed by the shard-local dispatch sequence.  When a worker
-dies, the supervisor respawns it, learns the sequence its restored
-snapshot covers (``WorkerStarted.restored_seq``) and replays every
-journal entry after it — the worker's per-stream dedupe cursors make
-the overlap with any stale in-flight messages harmless.
+Every batch a shard accepts is appended here *before* it is staged for
+its round, keyed by the shard-local sequence.  The entry's samples are
+the one copy the supervisor makes of a submitted batch: read-only, and
+shared with the ``Batch`` the round carries.  When a worker dies, the
+supervisor respawns it, learns the sequence its restored snapshot
+covers (``WorkerStarted.restored_seq``) and replays every entry after
+it that had been sent, in rounds — the worker's per-stream dedupe
+cursors make the overlap with any stale in-flight rounds harmless.
 
 Entries are dropped only once they are covered by the shard's
 *second-newest* snapshot (:meth:`SnapshotStore.safe_truncation_seq`),
@@ -25,7 +27,7 @@ __all__ = ["JournalEntry", "ShardJournal"]
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One dispatched batch, exactly as the worker received it."""
+    """One accepted batch, exactly as the worker receives it."""
 
     seq: int
     stream: str
@@ -34,7 +36,7 @@ class JournalEntry:
 
 
 class ShardJournal:
-    """Ordered in-memory journal of one shard's dispatched batches."""
+    """Ordered in-memory journal of one shard's accepted batches."""
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
@@ -50,13 +52,15 @@ class ShardJournal:
 
     def append(self, seq: int, stream: str, stream_seq: int,
                samples: np.ndarray) -> JournalEntry:
-        """Record one batch; sequences must be strictly increasing."""
+        """Record a read-only copy of one batch; sequences must increase."""
         if seq <= self.max_seq:
             raise ServeError(
                 f"journal for shard {self.shard_id} got seq {seq} after "
                 f"{self.max_seq}; dispatch sequences must increase")
+        copy = np.array(samples, dtype=np.int64)
+        copy.flags.writeable = False
         entry = JournalEntry(seq=seq, stream=stream, stream_seq=stream_seq,
-                             samples=np.array(samples, dtype=np.int64))
+                             samples=copy)
         self._entries.append(entry)
         return entry
 

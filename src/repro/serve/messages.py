@@ -1,19 +1,25 @@
 """Wire protocol between the fleet supervisor and its shard workers.
 
 Everything crossing between the processes is a small picklable
-dataclass.  Down the shard's input queue go :class:`Batch` and
+dataclass.  Down the shard's input queue go :class:`Round` (one shard
+round: the :class:`Batch` deliveries the worker steps together) and
 :class:`Shutdown`; up the worker incarnation's own ack pipe come
-:class:`WorkerStarted` (once per incarnation), :class:`BatchAck` (once
-per delivered batch — *including* duplicates, so the supervisor's
-outstanding-set always drains), and :class:`SnapshotWritten` (after
-each persisted generation).
+:class:`WorkerStarted` (once per incarnation), :class:`RoundAck` (once
+per stepped round, holding one :class:`BatchAck` per delivered batch —
+*including* duplicates, so the supervisor's outstanding-set always
+drains), and :class:`SnapshotWritten` (after each persisted
+generation).
 
 Delivery rules the protocol is designed around:
 
-* shard-local ``seq`` increases by one per dispatched message, and each
+* shard-local ``seq`` increases by one per accepted batch, and each
   queue is FIFO, so a worker sees its input in dispatch order — except
-  around recovery, where journal replay may overlap stale in-flight
-  messages;
+  where delivery faults duplicate or hold back a batch, and around
+  recovery, where journal replay may overlap stale in-flight rounds;
+* a round holds at most one accepted batch per stream of the shard
+  (duplicated and released reordered deliveries ride along), and a
+  batch that carries an unfired ``WorkerCrash`` opens a round of its
+  own;
 * per-stream ``stream_seq`` is the dedupe/reorder cursor: a worker
   applies a stream's batches in exact ``stream_seq`` order no matter
   how deliveries interleave, stash-parking early arrivals and dropping
@@ -28,16 +34,16 @@ import numpy as np
 
 from repro.serve.events import EventRecord
 
-__all__ = ["Batch", "Shutdown", "WorkerStarted", "BatchAck",
-           "AppliedBatch", "SnapshotWritten", "PROTOCOL_VERSION",
-           "MESSAGE_SCHEMA"]
+__all__ = ["Batch", "Round", "Shutdown", "WorkerStarted", "BatchAck",
+           "RoundAck", "AppliedBatch", "SnapshotWritten",
+           "PROTOCOL_VERSION", "MESSAGE_SCHEMA"]
 
 #: Version of the supervisor/worker wire protocol.  Bump whenever a
 #: message gains, loses or renames a field, together with the
 #: ``MESSAGE_SCHEMA`` entry below and the declarative
 #: :func:`repro.checks.protocol.serve_protocol_spec` — the
 #: ``protocol-surface-drift`` rule fails the build when they disagree.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,13 @@ class Batch:
     stream: str
     stream_seq: int
     samples: np.ndarray
+
+
+@dataclass(frozen=True)
+class Round:
+    """One shard round: deliveries the worker steps as one lockstep round."""
+
+    batches: tuple[Batch, ...]
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,14 @@ class BatchAck:
 
 
 @dataclass(frozen=True)
+class RoundAck:
+    """Receipt for one stepped :class:`Round`: an ack per delivery, in order."""
+
+    shard: int
+    acks: tuple[BatchAck, ...]
+
+
+@dataclass(frozen=True)
 class SnapshotWritten:
     """A snapshot generation covering *seq* reached durable storage."""
 
@@ -111,9 +132,11 @@ class SnapshotWritten:
 #: un-pickling into stale consumers.
 MESSAGE_SCHEMA: dict[str, tuple[str, ...]] = {
     "Batch": ("seq", "stream", "stream_seq", "samples"),
+    "Round": ("batches",),
     "Shutdown": ("final_snapshot",),
     "WorkerStarted": ("shard", "restored_seq", "lanes"),
     "AppliedBatch": ("stream", "stream_seq", "events", "intervals"),
     "BatchAck": ("shard", "seq", "applied"),
+    "RoundAck": ("shard", "acks"),
     "SnapshotWritten": ("shard", "seq", "path", "n_bytes"),
 }

@@ -1,9 +1,10 @@
 """Shard worker: one process owning one ``BatchSession`` shard.
 
-A worker's life is a loop over its input queue: apply
-:class:`~repro.serve.messages.Batch` messages to the shard's
-:class:`~repro.batch.session.BatchSession`, acknowledge every delivery,
-snapshot periodically, and exit cleanly on
+A worker's life is a loop over its input queue: step each
+:class:`~repro.serve.messages.Round` on the shard's
+:class:`~repro.batch.session.BatchSession`, answer it with one
+:class:`~repro.serve.messages.RoundAck` (an ack per delivery), snapshot
+periodically between rounds, and exit cleanly on
 :class:`~repro.serve.messages.Shutdown` or SIGTERM/SIGINT (both write a
 final snapshot first).
 
@@ -18,18 +19,22 @@ extraction cursors, a respawned worker re-emits exactly the event
 deltas its predecessor produced — which the supervisor verifies
 record-for-record.
 
-Throughput comes from *rounds*: the loop takes the next delivery plus
-every message already queued behind it (:func:`collect_round`) and
-steps their lanes together (:meth:`ShardWorker.handle_batches`), one
-``process_ready()`` per round instead of one per batch.  Lanes of a
-``BatchSession`` cannot see each other, so every ack, cursor and
-snapshot is bit-identical to applying the deliveries one at a time.
+Throughput comes from *rounds*: the supervisor sends a shard's batches
+as one ``Round`` message (a batch of every stream of the shard, when
+the client submits them together), and the worker steps their lanes
+together (:meth:`ShardWorker.handle_round`, one
+:meth:`ShardWorker.handle_batches` call), one ``process_ready()`` per
+round instead of one per batch.  Lanes of a ``BatchSession`` cannot
+see each other, so every ack, cursor and snapshot is bit-identical to
+applying the deliveries one at a time.
 
 Chaos hooks: the worker honors the shard's
 :class:`~repro.faults.service.ServiceFaultPlan` — deterministic
 self-kills (``worker-crash``), torn snapshot writes followed by death
 (``torn-snapshot``), and consumption stalls (``queue-stall``).  Faults
-key on the shard-local dispatch sequence, so runs are reproducible.
+key on the shard-local dispatch sequence, so runs are reproducible.  The
+supervisor sends a crash-carrying batch as a round of its own, and the
+worker takes it alone through :meth:`ShardWorker.handle_batch`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from types import FrameType
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -51,15 +56,15 @@ from repro.faults.service import (QueueStall, ServiceFaultPlan,
                                   TornSnapshot, WorkerCrash)
 from repro.serve.config import ServeConfig
 from repro.serve.events import EventCursor, EventRecord, extract_lane_events
-from repro.serve.messages import (AppliedBatch, Batch, BatchAck, Shutdown,
-                                  SnapshotWritten, WorkerStarted)
+from repro.serve.messages import (AppliedBatch, Batch, BatchAck, Round,
+                                  RoundAck, Shutdown, SnapshotWritten,
+                                  WorkerStarted)
 from repro.serve.snapshot import (ShardSnapshot, SnapshotStore,
                                   encode_snapshot)
 from repro.telemetry.bus import EventBus
 
-__all__ = ["ShardWorker", "worker_main", "collect_round",
-           "build_shard_session", "reference_events", "CRASH_EXIT_CODE",
-           "SNAPSHOT_KEEP"]
+__all__ = ["ShardWorker", "worker_main", "build_shard_session",
+           "reference_events", "CRASH_EXIT_CODE", "SNAPSHOT_KEEP"]
 
 #: Exit status of a fault-injected self-kill (mirrors SIGKILL's 128+9).
 CRASH_EXIT_CODE = 137
@@ -261,6 +266,11 @@ class ShardWorker:
         """Apply one delivery (dedupe/stash/drain); always returns an ack."""
         return self.handle_batches([message])[0]
 
+    def handle_round(self, message: Round) -> RoundAck:
+        """Step one ``Round`` in one :meth:`handle_batches` call."""
+        return RoundAck(shard=self.shard_id,
+                        acks=tuple(self.handle_batches(message.batches)))
+
     # -- snapshots ------------------------------------------------------------
 
     @property
@@ -320,32 +330,6 @@ class ShardWorker:
         return None
 
 
-def collect_round(first: Batch, in_q: Any,
-                  crash_spec_for: Callable[[int], WorkerCrash | None]
-                  ) -> tuple[list[Batch], Any]:
-    """*first* plus every batch already queued behind it, one per stream.
-
-    Takes messages off *in_q* (anything with ``get_nowait``) without
-    waiting, and stops before the first one that repeats a stream of the
-    round, is not a :class:`Batch`, or carries an injected crash.
-    Returns the round and that message (``None`` when the queue ran dry),
-    which the caller handles next.  A round is bounded by the shard's
-    stream count.
-    """
-    batches = [first]
-    streams = {first.stream}
-    while True:
-        try:
-            message = in_q.get_nowait()
-        except queue.Empty:
-            return batches, None
-        if not isinstance(message, Batch) or message.stream in streams \
-                or crash_spec_for(message.seq) is not None:
-            return batches, message
-        batches.append(message)
-        streams.add(message.stream)
-
-
 def worker_main(shard_id: int, streams: tuple[str, ...],
                 config: ServeConfig, snapshot_dir: str,
                 faults: ServiceFaultPlan | None,
@@ -374,36 +358,30 @@ def worker_main(shard_id: int, streams: tuple[str, ...],
     acks.send(WorkerStarted(shard=shard_id,
                             restored_seq=worker.restored_seq,
                             lanes=worker.streams))
-    upcoming: Any = None  # the message that ended the last round
     while True:
         if terminated["flag"]:
             break
-        if upcoming is not None:
-            message, upcoming = upcoming, None
-        else:
-            try:
-                message = in_q.get(timeout=0.05)
-            except queue.Empty:
-                if os.getppid() != supervisor:
-                    break  # the supervisor died: leave as on SIGTERM
-                continue
+        try:
+            message = in_q.get(timeout=0.05)
+        except queue.Empty:
+            if os.getppid() != supervisor:
+                break  # the supervisor died: leave as on SIGTERM
+            continue
         if isinstance(message, Shutdown):
             if message.final_snapshot:
                 acks.send(worker.take_snapshot())
             return
-        if not isinstance(message, Batch):
+        if not isinstance(message, Round):
             continue  # unknown message: ignore, stay alive
-        crash = worker.crash_spec_for(message.seq)
+        first = message.batches[0]
+        crash = worker.crash_spec_for(first.seq)
         if crash is not None:
-            # A crash delivery goes alone, after the round before it.
-            ack = worker.handle_batch(message)
+            # A crash delivery travels as a round of its own.
+            ack = worker.handle_batch(first)
             if not crash.before_ack:
-                acks.send(ack)
+                acks.send(RoundAck(shard=shard_id, acks=(ack,)))
             os._exit(CRASH_EXIT_CODE)
-        batches, upcoming = collect_round(message, in_q,
-                                          worker.crash_spec_for)
-        for ack in worker.handle_batches(batches):
-            acks.send(ack)
+        acks.send(worker.handle_round(message))
         if worker.snapshot_due:
             try:
                 acks.send(worker.take_snapshot())

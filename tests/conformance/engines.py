@@ -3,9 +3,10 @@
 ``scalar`` is the reference: one :class:`OnlineSession` per lane.
 ``batch`` steps all lanes in lockstep in one :class:`BatchSession`;
 ``worker`` hands them to an in-process :class:`ShardWorker` as serve
-deliveries; ``fleet`` serves them through a multi-process
-:class:`FleetSupervisor`.  Each engine runs a scenario in a scratch
-directory and returns a :class:`Run` holding what it exposes.
+deliveries, one ``Round`` message at a time; ``fleet`` serves them
+through a multi-process :class:`FleetSupervisor`.  Each engine runs a
+scenario in a scratch directory and returns a :class:`Run` holding what
+it exposes.
 """
 
 import pickle
@@ -15,7 +16,7 @@ from typing import Any
 from repro.batch import BatchSession
 from repro.errors import RegionError
 from repro.monitor.online import OnlineSession
-from repro.serve import (SNAPSHOT_KEEP, EventCursor, ShardWorker,
+from repro.serve import (SNAPSHOT_KEEP, EventCursor, Round, ShardWorker,
                          extract_lane_events, run_fleet)
 from repro.serve.snapshot import SnapshotStore
 from repro.telemetry.bus import EventBus
@@ -136,8 +137,9 @@ def run_batch(scenario, directory=None) -> Run:
 
 
 def run_worker(scenario, directory) -> Run:
-    """An in-process shard worker fed the lanes' batches as deliveries,
-    snapshotted and restored where the scenario says."""
+    """An in-process shard worker stepping the lanes' batches as
+    ``Round`` messages, snapshotted and restored where the scenario
+    says."""
     config = scenario.serve_config()
 
     def start() -> ShardWorker:
@@ -150,7 +152,9 @@ def run_worker(scenario, directory) -> Run:
         if index == snapshot_at:
             worker.take_snapshot()
             worker = start()
-        acks.extend(worker.handle_batches(batches))
+        answer = worker.handle_round(Round(tuple(batches)))
+        assert answer.shard == 0
+        acks.extend(answer.acks)
     lanes = worker.session.lanes
     return Run(events={lane.name: extract_lane_events(lane)[0]
                        for lane in lanes},

@@ -250,7 +250,7 @@ FLEET = Scenario("fleet", tuple(
     buffer_size=2032, chunk=4064, serve=dict(
         n_shards=4, snapshot_every=8, queue_capacity=128,
         # raised from the default: an oversubscribed host must not trip
-        # the governor here (tests/serve/test_governor.py covers it)
+        # the governor here (tests/serve/test_rounds.py covers it)
         dispatch_retries=8))
 CHAOS = ServiceFaultPlan((
     WorkerCrash(shard=0, at_seq=30),

@@ -116,9 +116,12 @@ def test_fleet(tmp_path, fleet_reference, faults):
     summary, exit_codes = run.extra
     # Both crashes and the torn snapshot each cost an incarnation;
     # replayed acks never disagreed with the originals, nothing was
-    # shed, and the last incarnations exited cleanly.
+    # shed, every shard stepped many batches per round, and the last
+    # incarnations exited cleanly.
     assert summary["restarts"] >= 3 if faults.specs \
         else summary["restarts"] == 0
+    assert len(summary["batches_per_round"]) == 4
+    assert min(summary["batches_per_round"].values()) > 8
     assert summary["divergences"] == summary["evicted"] == 0
     assert all(code in (0, None) for code in exit_codes.values())
     assert any(fleet_reference.events.values())

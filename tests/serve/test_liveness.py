@@ -20,7 +20,7 @@ import pytest
 import repro.serve.supervisor as supervisor_module
 from repro.faults.service import ServiceFaultPlan, WorkerCrash
 from repro.serve import FleetSupervisor
-from repro.serve.messages import Batch
+from repro.serve.messages import Batch, Round
 from repro.serve.worker import CRASH_EXIT_CODE
 from tests.conformance.engines import run_scalar
 from tests.conformance.scenarios import Lane, Scenario
@@ -141,9 +141,9 @@ def test_one_shard_fleet_recovers_bit_identically(tmp_path, fixture_batches,
     # With one shard the dead worker held the only write end of the
     # only ack pipe: its reader is at end-of-file once the sentinel
     # fires, and that must read as a death, not as pending messages.
-    # The crash opens the last round, so its batches need the successor,
-    # and the drain starts only after the worker is gone, so its wait
-    # finds both handles ready at once.
+    # The crash opens the last tick and travels alone, so the rest of
+    # the tick needs the successor, and the drain starts only after the
+    # worker is gone, so its wait finds both handles ready at once.
     batches = fixture_batches
     crash = WorkerCrash(shard=0, at_seq=N_BATCHES - N_STREAMS,
                         before_ack=before_ack)
@@ -263,7 +263,7 @@ def test_worker_exits_when_its_supervisor_is_killed(tmp_path):
 
 def test_shutdown_reaches_a_worker_blocked_on_its_ack_pipe(
         tmp_path, fixture_batches, monkeypatch):
-    # Batches go straight onto the input queue and no ack is read, so
+    # Rounds go straight onto the input queue and no ack is read, so
     # the worker fills its ack pipe, blocks in a send and leaves the
     # queue full.  Shutdown must read the acks before it queues its
     # message; otherwise the message is dropped and the worker is
@@ -285,9 +285,10 @@ def test_shutdown_reaches_a_worker_blocked_on_its_ack_pipe(
         in_q = fleet._shards[0].in_q
         for seq in range(len(samples) // 16):
             try:
-                in_q.put(Batch(seq=seq, stream="lane0", stream_seq=seq,
-                               samples=samples[16 * seq:16 * (seq + 1)]),
-                         timeout=2.0)
+                in_q.put(Round((Batch(
+                    seq=seq, stream="lane0", stream_seq=seq,
+                    samples=samples[16 * seq:16 * (seq + 1)]),)),
+                    timeout=2.0)
             except queue.Full:
                 break
         else:

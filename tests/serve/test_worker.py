@@ -1,5 +1,10 @@
 """In-process ShardWorker: delivery discipline, snapshots, restore."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from repro.serve.snapshot import SnapshotStore, read_snapshot
 
 N_BATCHES = 6
 BATCH_INTERVALS = 2
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -209,3 +215,42 @@ class TestInjectedFaults:
         assert worker.crash_spec_for(7) is not None
         assert worker.crash_spec_for(3) is None  # other shard's fault
         assert worker.crash_spec_for(8) is None
+
+
+#: Steps one BatchSession round and one ShardWorker round, then reports
+#: whether numpy.ma was imported.
+STEP_WITHOUT_MASKED_ARRAYS = """
+import sys, tempfile
+from repro.batch import BatchSession
+from repro.program.spec2000 import get_benchmark
+from repro.sampling import simulate_sampling
+from repro.serve import Batch, Round, ServeConfig, ShardWorker
+from repro.serve.snapshot import SnapshotStore
+
+model = get_benchmark("181.mcf", scale=0.05)
+pcs = simulate_sampling(model.regions, model.workload, 45_000,
+                        seed=7).pcs[:6 * 2032]
+session = BatchSession(binary=model.binary)
+for name in ("a", "b"):
+    session.add_lane(name=name).feed_many(pcs)
+session.process_ready()
+assert [lane.stats.intervals for lane in session.lanes] == [6, 6]
+with tempfile.TemporaryDirectory() as tmp:
+    worker = ShardWorker(0, ("a", "b"), ServeConfig(binary=model.binary),
+                         SnapshotStore(tmp, 0))
+    answer = worker.handle_round(Round(tuple(
+        Batch(seq=seq, stream=stream, stream_seq=0, samples=pcs)
+        for seq, stream in enumerate(("a", "b")))))
+assert [ack.applied[0].intervals for ack in answer.acks] == [6, 6]
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_stepping_never_imports_numpy_ma():
+    # A serve worker incarnation would otherwise pay the import in its
+    # first round, recovery included.
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", STEP_WITHOUT_MASKED_ARRAYS],
+                         cwd=REPO_ROOT, env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
