@@ -15,10 +15,10 @@ served.  Three static rules:
     carries events *out* of a run; nothing reads it back), so keying on
     them would only fragment the cache.
 ``cache-key-no-faults``
-    Every key dataclass in ``experiments/cache.py`` (and ``WarmTask``)
-    must carry a ``faults`` field, and derived keys (``GpdKey``,
-    ``MonitorKey``) must contain every field of ``StreamKey`` — an
-    artifact's key cannot be coarser than its input stream's.
+    Every key dataclass in ``experiments/cache.py`` must carry a
+    ``faults`` field, and derived keys (``GpdKey``, ``MonitorKey``) must
+    contain every field of ``StreamKey`` — an artifact's key cannot be
+    coarser than its input stream's.
 ``fault-token-incomplete``
     A ``FaultSpec`` subclass in ``faults/model.py`` — or a
     ``ServiceFaultSpec`` subclass in ``faults/service.py`` — that
@@ -122,8 +122,7 @@ def audit_key_classes(cache_path: Path, rel: str) -> tuple[
 
     key_classes: dict[str, ast.ClassDef] = {}
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and (
-                node.name.endswith("Key") or node.name == "WarmTask"):
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Key"):
             key_classes[node.name] = node
 
     for name, cls in key_classes.items():
@@ -149,7 +148,7 @@ def audit_key_classes(cache_path: Path, rel: str) -> tuple[
                     message=f"{derived} lacks StreamKey field(s) "
                             f"{sorted(missing)}: a derived artifact's key "
                             f"cannot be coarser than its stream's"))
-    return findings, set(key_classes) - {"WarmTask"}
+    return findings, set(key_classes)
 
 
 def audit_base_helpers(base_path: Path, rel: str,
@@ -228,7 +227,8 @@ def audit_fault_tokens(model_path: Path, rel: str) -> list[Finding]:
     subclasses (``faults/model.py``) and service-level
     ``ServiceFaultSpec`` subclasses (``faults/service.py``) — any base
     name ending in ``FaultSpec`` opts a class in.  Kind-tag collisions
-    are checked within one file, matching the per-registry namespaces.
+    are checked within one file: a spec's token leads with its kind, so
+    two specs of one hierarchy sharing a kind could share a token.
     """
     findings: list[Finding] = []
     tree = _parse(model_path)

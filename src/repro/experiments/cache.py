@@ -19,14 +19,11 @@ as read-only summaries (every in-tree experiment does).
 
 Process model: each process owns one :data:`GLOBAL_CACHE` guarded by an
 ``RLock`` (safe under threads and under nested ``monitored_run`` →
-``stream_for`` lookups).  Worker processes of the parallel runner each
-build their own cache and ship finished artifacts back to the parent,
-which injects them via the ``put_*`` methods — results are therefore
-bit-identical whether a key was computed here or in a worker, because
-every computation is seeded by its key.  The cache is bounded LRU so
-full-scale sweeps cannot grow memory without limit, and it can be
-disabled globally (the runner's ``--no-cache``) or temporarily
-(:func:`cache_disabled`).
+``stream_for`` lookups).  Entries only ever come from a miss computing
+its own key, and every computation is seeded by its key, so a hit is
+bit-identical to a fresh run.  The cache is bounded LRU so full-scale
+sweeps cannot grow memory without limit, and it can be disabled globally
+(the runner's ``--no-cache``) or temporarily (:func:`cache_disabled`).
 
 Telemetry: every memoized lookup emits a
 :class:`~repro.telemetry.events.CacheHit` or
@@ -48,7 +45,7 @@ from typing import Callable, TypeVar
 from repro.telemetry.bus import get_bus
 from repro.telemetry.events import CacheHit, CacheMiss
 
-__all__ = ["StreamKey", "MonitorKey", "GpdKey", "WarmTask", "CacheStats",
+__all__ = ["StreamKey", "MonitorKey", "GpdKey", "CacheStats",
            "SimulationCache", "GLOBAL_CACHE", "get_cache", "set_enabled",
            "cache_disabled"]
 
@@ -101,24 +98,6 @@ class GpdKey:
     buffer_size: int
     faults: tuple = ()
     trace: tuple = ()
-
-
-@dataclass(frozen=True, slots=True)
-class WarmTask:
-    """One unit of parallel pre-computation for the ``--jobs`` runner.
-
-    ``kind`` selects the artifact: ``"stream"`` (simulation only),
-    ``"gpd"`` (stream + global detector) or ``"monitor"`` (stream +
-    region-monitor run with the given attribution strategy).  ``faults``
-    carries a fault-plan token; workers rebuild the plan with
-    :meth:`~repro.faults.FaultPlan.from_token`.
-    """
-
-    kind: str
-    benchmark: str
-    period: int
-    attribution: str = "list"
-    faults: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -180,15 +159,6 @@ class SimulationCache:
                 store.popitem(last=False)
             return value
 
-    def _put(self, store: OrderedDict, key, value) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            store[key] = value
-            store.move_to_end(key)
-            while len(store) > self.max_entries:
-                store.popitem(last=False)
-
     # -- typed entry points --------------------------------------------------
 
     def stream(self, key: StreamKey, compute: Callable[[], T]) -> T:
@@ -202,18 +172,6 @@ class SimulationCache:
     def detector(self, key: GpdKey, compute: Callable[[], T]) -> T:
         """The GPD run for *key*, computing and retaining on a miss."""
         return self._memoize(self._detectors, key, compute, "gpd")
-
-    def put_stream(self, key: StreamKey, value) -> None:
-        """Inject a stream computed elsewhere (a worker process)."""
-        self._put(self._streams, key, value)
-
-    def put_monitor(self, key: MonitorKey, value) -> None:
-        """Inject a monitor run computed elsewhere."""
-        self._put(self._monitors, key, value)
-
-    def put_detector(self, key: GpdKey, value) -> None:
-        """Inject a GPD run computed elsewhere."""
-        self._put(self._detectors, key, value)
 
     # -- management -----------------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.core.lpd import LocalPhaseDetector
 from repro.cpd import CpdThresholds, CusumDetector, EDivisiveDetector
 from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     gpd_run, stream_for)
-from repro.experiments.cache import WarmTask
 from repro.experiments.config import (BASE_PERIOD, DEFAULT_CONFIG,
                                       ExperimentConfig)
 from repro.experiments.extra_fault_sweep import PLANS
@@ -60,15 +59,6 @@ SCENARIOS: tuple[tuple[str, str, FaultPlan], ...] = tuple(
     [(f"{LADDER_BENCHMARK}/{label}", LADDER_BENCHMARK, plan)
      for label, plan in PLANS]
     + [(f"{name}/clean", name, FaultPlan(())) for name in ZOO_BENCHMARKS])
-
-
-def warm_targets(config: ExperimentConfig) -> list[WarmTask]:
-    """Every GPD run of the scoreboard (streams ride along)."""
-    tasks: list[WarmTask] = []
-    for _, name, plan in SCENARIOS:
-        token = () if plan.is_empty else plan.token()
-        tasks.append(WarmTask("gpd", name, BASE_PERIOD, faults=token))
-    return tasks
 
 
 def ground_truth_changes(model, period: int, buffer_size: int,

@@ -10,16 +10,15 @@ For each benchmark the sweep runs the same seed's stream through a
 ladder of fault plans (clean, 10% drop, 20% drop, 20% drop + PC skid)
 and reports, per detector, the *excess* phase changes relative to the
 clean run (spurious changes caused purely by the faults) and the
-stable-time delta.  Faulted runs share the PR-1 cache — the fault-plan
-token is part of every cache key — and participate in the ``--jobs``
-warm phase like any other run.
+stable-time delta.  Faulted runs share the simulation cache: the
+fault-plan token is part of every cache key, so a faulted run never
+collides with its clean twin.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     gpd_run, monitored_run)
-from repro.experiments.cache import WarmTask
 from repro.experiments.config import (BASE_PERIOD, DEFAULT_CONFIG,
                                       ExperimentConfig)
 from repro.faults import FaultPlan, PcSkid, SampleDrop
@@ -37,20 +36,6 @@ PLANS: tuple[tuple[str, FaultPlan], ...] = (
                                PcSkid(distribution="exponential",
                                       scale=2.0)))),
 )
-
-
-def warm_targets(config: ExperimentConfig,
-                 benchmarks: tuple[str, ...] = FIG13_BENCHMARKS
-                 ) -> list[WarmTask]:
-    """Every (benchmark, plan) GPD + monitor run of the sweep."""
-    tasks: list[WarmTask] = []
-    for name in benchmarks:
-        for _, plan in PLANS:
-            token = () if plan.is_empty else plan.token()
-            tasks.append(WarmTask("gpd", name, BASE_PERIOD, faults=token))
-            tasks.append(WarmTask("monitor", name, BASE_PERIOD,
-                                  faults=token))
-    return tasks
 
 
 def _lpd_stats(monitor) -> tuple[int, float]:

@@ -11,21 +11,12 @@ from __future__ import annotations
 
 from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     gpd_run)
-from repro.experiments.cache import WarmTask
 from repro.experiments.config import (DEFAULT_CONFIG, GPD_PERIODS,
                                       ExperimentConfig)
 from repro.program.spec2000 import FIG3_BENCHMARKS
 
 EXPERIMENT_ID = "fig03"
 TITLE = "GPD phase changes vs. sampling period (paper Figure 3)"
-
-
-def warm_targets(config: ExperimentConfig,
-                 benchmarks: tuple[str, ...] = FIG3_BENCHMARKS
-                 ) -> list[WarmTask]:
-    """The (benchmark, period) runs the parallel runner can precompute."""
-    return [WarmTask("gpd", name, period)
-            for name in benchmarks for period in GPD_PERIODS]
 
 
 def run(config: ExperimentConfig = DEFAULT_CONFIG,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     monitored_run)
-from repro.experiments.cache import WarmTask
 from repro.experiments.config import (BASE_PERIOD, DEFAULT_CONFIG,
                                       ExperimentConfig)
 from repro.program.spec2000 import FIG6_BENCHMARKS
@@ -20,13 +19,6 @@ TITLE = "Median % of samples in the UCR (paper Figure 6)"
 
 #: The formation-trigger threshold the figure draws as a line.
 THRESHOLD_PCT = 30.0
-
-
-def warm_targets(config: ExperimentConfig,
-                 benchmarks: tuple[str, ...] = FIG6_BENCHMARKS
-                 ) -> list[WarmTask]:
-    """The monitor runs the parallel runner can precompute."""
-    return [WarmTask("monitor", name, BASE_PERIOD) for name in benchmarks]
 
 
 def run(config: ExperimentConfig = DEFAULT_CONFIG,

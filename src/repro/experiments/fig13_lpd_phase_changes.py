@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     monitored_run)
-from repro.experiments.cache import WarmTask
 from repro.experiments.config import (DEFAULT_CONFIG, GPD_PERIODS,
                                       ExperimentConfig)
 from repro.errors import RegionError
@@ -21,14 +20,6 @@ from repro.program.spec2000 import FIG13_BENCHMARKS
 
 EXPERIMENT_ID = "fig13"
 TITLE = "LPD per-region phase changes vs. sampling period (Figure 13)"
-
-
-def warm_targets(config: ExperimentConfig,
-                 benchmarks: tuple[str, ...] = FIG13_BENCHMARKS
-                 ) -> list[WarmTask]:
-    """The (benchmark, period) monitor runs shared with Figure 14."""
-    return [WarmTask("monitor", name, period)
-            for name in benchmarks for period in GPD_PERIODS]
 
 
 def per_region_stat(config: ExperimentConfig, statistic: str,

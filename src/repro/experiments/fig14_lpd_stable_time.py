@@ -11,10 +11,9 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult
 from repro.experiments.config import (DEFAULT_CONFIG, GPD_PERIODS,
                                       ExperimentConfig)
-# Figure 14 consumes exactly Figure 13's monitor runs, so re-exporting
-# fig13's warm_targets lets the parallel runner share the precomputation.
-from repro.experiments.fig13_lpd_phase_changes import (per_region_stat,
-                                                       warm_targets)
+# Figure 14 consumes exactly Figure 13's monitor runs, so after fig13 every
+# run it needs is a cache hit.
+from repro.experiments.fig13_lpd_phase_changes import per_region_stat
 from repro.program.spec2000 import FIG13_BENCHMARKS
 
 EXPERIMENT_ID = "fig14"

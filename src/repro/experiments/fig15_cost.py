@@ -16,18 +16,10 @@ from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     monitored_run, stream_for)
 from repro.experiments.config import (BASE_PERIOD, DEFAULT_CONFIG,
                                       ExperimentConfig)
-from repro.experiments.cache import WarmTask
 from repro.program.spec2000 import FIG15_BENCHMARKS
 
 EXPERIMENT_ID = "fig15"
 TITLE = "Overhead of region monitoring vs. centroid GPD (paper Figure 15)"
-
-
-def warm_targets(config: ExperimentConfig,
-                 benchmarks: tuple[str, ...] = FIG15_BENCHMARKS
-                 ) -> list[WarmTask]:
-    """The monitor runs (shared with fig06/fig16) worth precomputing."""
-    return [WarmTask("monitor", name, BASE_PERIOD) for name in benchmarks]
 
 
 def run(config: ExperimentConfig = DEFAULT_CONFIG,

@@ -11,21 +11,12 @@ from __future__ import annotations
 
 from repro.experiments.base import (ExperimentResult, benchmark_for,
                                     monitored_run)
-from repro.experiments.cache import WarmTask
 from repro.experiments.config import (BASE_PERIOD, DEFAULT_CONFIG,
                                       ExperimentConfig)
 from repro.program.spec2000 import FIG16_BENCHMARKS
 
 EXPERIMENT_ID = "fig16"
 TITLE = "Interval-tree attribution cost normalized to lists (Figure 16)"
-
-
-def warm_targets(config: ExperimentConfig,
-                 benchmarks: tuple[str, ...] = FIG16_BENCHMARKS
-                 ) -> list[WarmTask]:
-    """List- and tree-attribution monitor runs for every benchmark."""
-    return [WarmTask("monitor", name, BASE_PERIOD, attribution=strategy)
-            for name in benchmarks for strategy in ("list", "tree")]
 
 
 def run(config: ExperimentConfig = DEFAULT_CONFIG,

@@ -4,7 +4,7 @@ Usage::
 
     repro-experiments --list
     repro-experiments fig03 fig04
-    repro-experiments all --scale 0.25 --seed 7 --jobs 4
+    repro-experiments all --scale 0.25 --seed 7
     repro-experiments fig15 --no-cache --profile
 
 The performance engine behind the runner:
@@ -13,22 +13,18 @@ The performance engine behind the runner:
   :class:`~repro.experiments.cache.SimulationCache`, so figures sharing
   runs (fig03/fig04, fig13/fig14, fig06/fig15/fig16) compute each one
   once (``--no-cache`` restores fresh computation);
-* with ``--jobs N`` the deduplicated (benchmark, period) work-list of the
-  selected figures is fanned out over a ``ProcessPoolExecutor`` first and
-  the finished runs are injected into the cache, so the serial figure
-  assembly that follows is pure lookups.  Every task is seeded by its key
-  (benchmark, scale, period, seed), so results are bit-identical to a
-  serial run at any job count;
 * ``--profile`` prints a cProfile top-20 cumulative table for the figure
   phase, so hot-path work is measured rather than guessed;
 * ``--trace FILE`` attaches a JSONL trace sink to the process telemetry
   bus for the whole run, so every detector transition, phase change,
   region event and cache lookup of the selected figures lands in FILE
-  (inspect with ``repro-trace``).  Tracing disables the parallel warm
-  phase: worker processes have their own (disabled) bus, and a trace
-  that silently omitted the warmed runs' events would be misleading.
-  The sink is flushed after every figure — including failed ones — so a
-  partial trace is always valid JSONL up to its last record.
+  (inspect with ``repro-trace``).  The sink is flushed after every
+  figure — including failed ones — so a partial trace is always valid
+  JSONL up to its last record.
+
+Figures run one after another in this process; a SIGTERM or SIGINT stops
+the loop at the running figure, flushes the trace and exports what
+finished.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ from repro.experiments import (extra_chaos, extra_cpd, extra_detector_zoo,
                                fig13_lpd_phase_changes,
                                fig14_lpd_stable_time, fig15_cost,
                                fig16_interval_tree, fig17_speedup)
-from repro.experiments import base, cache
-from repro.experiments.cache import WarmTask
+from repro.experiments import cache
 from repro.experiments.config import ExperimentConfig
 
 _MODULES = (
@@ -79,10 +74,6 @@ TITLES: dict[str, str] = {
     module.EXPERIMENT_ID: module.TITLE for module in _MODULES
 }
 
-MODULES: dict[str, object] = {
-    module.EXPERIMENT_ID: module for module in _MODULES
-}
-
 #: The figure experiments run by default ('all'); the extras ('zoo',
 #: 'ivalsize') run only when named explicitly.
 DEFAULT_SET = tuple(sorted(eid for eid in EXPERIMENTS
@@ -99,103 +90,6 @@ def run_experiment(experiment_id: str,
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; known: {known}") from None
     return runner(config)
-
-
-def collect_warm_tasks(experiment_ids: list[str],
-                       config: ExperimentConfig) -> list[WarmTask]:
-    """Deduplicated precomputation work-list for the selected figures.
-
-    Only full-suite figures declare ``warm_targets``; tasks shared
-    between figures (fig03/fig04's streams, fig13/fig14's monitors,
-    fig06/fig15/fig16's list monitors) appear once.
-    """
-    tasks: list[WarmTask] = []
-    seen: set[WarmTask] = set()
-    for experiment_id in experiment_ids:
-        module = MODULES.get(experiment_id)
-        warm = getattr(module, "warm_targets", None)
-        if warm is None:
-            continue
-        for task in warm(config):
-            if task not in seen:
-                seen.add(task)
-                tasks.append(task)
-    return tasks
-
-
-def _warm_worker(payload: tuple[WarmTask, ExperimentConfig]):
-    """Compute one warm task in a worker process.
-
-    Returns every artifact the task produced (the ideal stream, the
-    faulted stream for fault-carrying tasks, and the derived
-    detector/monitor) so the parent can seed its cache with all of
-    them.  Determinism: everything is derived from (benchmark, scale,
-    period, seed, faults), so a worker's result is bit-identical to
-    what the parent would have computed serially.
-    """
-    task, config = payload
-    model = base.benchmark_for(task.benchmark, config)
-    plan = None
-    if task.faults:
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan.from_token(task.faults)
-    streams = {(): base.stream_for(model, task.period, config)}
-    if plan is not None:
-        streams[task.faults] = base.stream_for(model, task.period, config,
-                                               plan=plan)
-    detector = None
-    monitor = None
-    if task.kind == "gpd":
-        detector = base.gpd_run(model, task.period, config, plan=plan)
-    elif task.kind == "monitor":
-        monitor = base.monitored_run(model, task.period, config,
-                                     attribution=task.attribution,
-                                     plan=plan)
-    return task, streams, detector, monitor
-
-
-def warm_cache_parallel(tasks: list[WarmTask], config: ExperimentConfig,
-                        jobs: int) -> int:
-    """Fan the warm work-list out over *jobs* processes; seed the cache.
-
-    Returns the number of tasks computed.  Falls back to in-process
-    computation when there is nothing to parallelize.
-    """
-    if not tasks:
-        return 0
-    store = cache.get_cache()
-    if jobs <= 1 or len(tasks) == 1:
-        for task, streams, detector, monitor in map(
-                _warm_worker, ((t, config) for t in tasks)):
-            _seed_cache(store, config, task, streams, detector, monitor)
-        return len(tasks)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for task, streams, detector, monitor in pool.map(
-                _warm_worker, ((t, config) for t in tasks), chunksize=1):
-            _seed_cache(store, config, task, streams, detector, monitor)
-    return len(tasks)
-
-
-def _seed_cache(store: cache.SimulationCache, config: ExperimentConfig,
-                task: WarmTask, streams: dict, detector, monitor) -> None:
-    """Inject one warm task's artifacts into the parent cache."""
-    for faults, stream in streams.items():
-        store.put_stream(
-            cache.StreamKey(task.benchmark, config.scale, task.period,
-                            config.seed, faults), stream)
-    if detector is not None:
-        store.put_detector(
-            cache.GpdKey(task.benchmark, config.scale, task.period,
-                         config.seed, config.buffer_size, task.faults),
-            detector)
-    if monitor is not None:
-        store.put_monitor(
-            cache.MonitorKey(task.benchmark, config.scale, task.period,
-                             config.seed, config.buffer_size,
-                             task.attribution, task.faults), monitor)
 
 
 class _GracefulExit(Exception):
@@ -249,10 +143,6 @@ def _run_cli(argv: list[str] | None) -> int:
                         help="workload duration multiplier (default 1.0)")
     parser.add_argument("--seed", type=int, default=7,
                         help="PMU seed (default 7)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the shared "
-                             "(benchmark, period) runs (default 1: serial; "
-                             "same seed => identical figures at any N)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the cross-figure simulation cache")
     parser.add_argument("--profile", action="store_true",
@@ -264,16 +154,13 @@ def _run_cli(argv: list[str] | None) -> int:
                         help="also export results (JSON + CSV) into DIR")
     parser.add_argument("--trace", type=str, default=None, metavar="FILE",
                         help="write a JSONL telemetry trace of the run to "
-                             "FILE (disables the parallel warm phase; "
-                             "inspect with repro-trace)")
+                             "FILE (inspect with repro-trace)")
     args = parser.parse_args(argv)
 
     if args.list:
         for experiment_id in sorted(EXPERIMENTS):
             print(f"{experiment_id}  {TITLES[experiment_id]}")
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
     if args.no_cache:
         cache.set_enabled(False)
@@ -290,29 +177,8 @@ def _run_cli(argv: list[str] | None) -> int:
 
         trace_sink = JsonlTraceSink(args.trace)
         get_bus().attach(trace_sink)
-        if args.jobs > 1:
-            print("tracing: parallel warm phase disabled (worker "
-                  "processes would not contribute to the trace)",
-                  file=sys.stderr)
-            args.jobs = 1
 
     started_total = time.time()  # repro: allow[wall-clock] progress timer
-    if args.jobs > 1 and not args.no_cache:
-        tasks = collect_warm_tasks(requested, config)
-        if tasks:
-            warm_started = time.time()  # repro: allow[wall-clock] progress timer
-            try:
-                warmed = warm_cache_parallel(tasks, config, args.jobs)
-            except Exception as exc:  # degrade to serial, don't abort
-                print(f"warm phase failed ({type(exc).__name__}: {exc}); "
-                      f"figures will compute their runs serially",
-                      file=sys.stderr)
-            else:
-                warm_secs = time.time() - warm_started  # repro: allow[wall-clock] progress timer
-                print(f"warmed {warmed} shared runs with {args.jobs} "
-                      f"workers ({warm_secs:.1f}s)")
-                print()
-
     profiler = None
     if args.profile:
         import cProfile

@@ -13,8 +13,7 @@ Each spec is a small frozen dataclass that validates its rates/ranges in
 ``__post_init__`` (raising :class:`~repro.errors.ConfigError`) and knows
 
 * whether it is a *no-op* (rate 0 — guaranteed byte-identical output);
-* its ``token()`` — a hashable, pure-literal tuple used in cache keys and
-  to rebuild the spec in a worker process.
+* its ``token()`` — a hashable, pure-literal tuple used in cache keys.
 
 A :class:`FaultPlan` is an ordered composition of specs.  The empty plan
 (or a plan of no-ops) applies as the identity.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.errors import ConfigError, FaultError
+from repro.errors import ConfigError
 
 __all__ = [
     "FaultSpec",
@@ -36,7 +35,6 @@ __all__ = [
     "PcBitCorruption",
     "InterruptStall",
     "FaultPlan",
-    "SPEC_KINDS",
 ]
 
 
@@ -210,14 +208,6 @@ class InterruptStall(FaultSpec):
         return self.rate == 0.0
 
 
-#: Registry of concrete spec classes by their ``kind`` tag.
-SPEC_KINDS: dict[str, type[FaultSpec]] = {
-    cls.kind: cls
-    for cls in (SampleDrop, PcSkid, PeriodJitter, PeriodDrift,
-                DuplicateSamples, PcBitCorruption, InterruptStall)
-}
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """An ordered, validated composition of fault specs.
@@ -250,21 +240,8 @@ class FaultPlan:
                    for spec in self.specs)
 
     def token(self) -> tuple:
-        """Hashable identity for cache keys / worker reconstruction."""
+        """Hashable identity for cache keys."""
         return tuple(spec.token() for spec in self.specs)
-
-    @classmethod
-    def from_token(cls, token: tuple) -> "FaultPlan":
-        """Rebuild a plan from :meth:`token` output (worker side)."""
-        specs = []
-        try:
-            for spec_token in token:
-                kind, *pairs = spec_token
-                spec_cls = SPEC_KINDS[kind]
-                specs.append(spec_cls(**dict(pairs)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultError(f"malformed fault-plan token {token!r}") from exc
-        return cls(specs=tuple(specs))
 
     def describe(self) -> str:
         """Short human-readable summary (experiment row labels)."""

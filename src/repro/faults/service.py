@@ -12,9 +12,9 @@ single-process run.
 Specs deliberately do **not** subclass :class:`~repro.faults.model.FaultSpec`
 — a service fault can never be handed to :func:`repro.faults.inject`
 (it does not transform streams), and keeping the hierarchies apart
-makes that a type error instead of a runtime surprise.  The
-token/registry machinery mirrors the stream-fault model one-for-one
-(``repro-check``'s fault-token audit covers both files).
+makes that a type error instead of a runtime surprise.  Each spec's
+``token()`` mirrors the stream-fault model's (``repro-check``'s
+fault-token audit covers both files).
 
 Injection points are keyed by the shard-local dispatch sequence
 (``at_seq``), which makes every fault deterministic: the same plan over
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.errors import ConfigError, FaultError
+from repro.errors import ConfigError
 
 __all__ = [
     "ServiceFaultSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "DuplicateDelivery",
     "ReorderDelivery",
     "ServiceFaultPlan",
-    "SERVICE_SPEC_KINDS",
 ]
 
 
@@ -168,14 +167,6 @@ class ReorderDelivery(ServiceFaultSpec):
         _require(self.depth >= 1, "depth must be at least 1")
 
 
-#: Registry of concrete spec classes by their ``kind`` tag.
-SERVICE_SPEC_KINDS: dict[str, type[ServiceFaultSpec]] = {
-    cls.kind: cls
-    for cls in (WorkerCrash, TornSnapshot, QueueStall, DuplicateDelivery,
-                ReorderDelivery)
-}
-
-
 @dataclass(frozen=True)
 class ServiceFaultPlan:
     """An ordered, validated composition of service fault specs."""
@@ -206,24 +197,6 @@ class ServiceFaultPlan:
     def of_kind(self, kind: str) -> tuple[ServiceFaultSpec, ...]:
         """Every spec with the given ``kind`` tag, in plan order."""
         return tuple(spec for spec in self.specs if spec.kind == kind)
-
-    def token(self) -> tuple:
-        """Hashable identity for labels / worker reconstruction."""
-        return tuple(spec.token() for spec in self.specs)
-
-    @classmethod
-    def from_token(cls, token: tuple) -> "ServiceFaultPlan":
-        """Rebuild a plan from :meth:`token` output (worker side)."""
-        specs = []
-        try:
-            for spec_token in token:
-                kind, *pairs = spec_token
-                spec_cls = SERVICE_SPEC_KINDS[kind]
-                specs.append(spec_cls(**dict(pairs)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultError(
-                f"malformed service fault-plan token {token!r}") from exc
-        return cls(specs=tuple(specs))
 
     def describe(self) -> str:
         """Short human-readable summary (experiment row labels)."""

@@ -72,7 +72,6 @@ class SessionSurface:
     def __init__(self, telemetry: EventBus) -> None:
         self.telemetry = telemetry
         self.stats = SessionStats()
-        self.reports: list[IntervalReport] = []
         self.watchdog_events: list[WatchdogEvent] = []
         self._global_callbacks: list[GlobalChangeCallback] = []
         self._local_callbacks: list[LocalChangeCallback] = []
@@ -128,6 +127,12 @@ class SessionSurface:
         return self.feed_many(stream.pcs)
 
     # -- inspection -------------------------------------------------------------
+
+    @property
+    def reports(self) -> list[IntervalReport]:
+        """Every interval's report: the monitor's own list, not a copy
+        (empty without a monitor)."""
+        return self.monitor.reports if self.monitor is not None else []
 
     def summary(self) -> dict:
         """A small status dictionary (for logging/diagnostics)."""
@@ -236,7 +241,6 @@ class OnlineSession(SessionSurface):
                                         ucr_fraction=-1.0, n_regions=0))
         if self.monitor is not None:
             report = self.monitor.process_interval(pcs, interval_index)
-            self.reports.append(report)
             for rid, event in report.events:
                 self.stats.local_events += 1
                 for callback in self._local_callbacks:

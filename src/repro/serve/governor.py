@@ -6,11 +6,13 @@ rather than let one slow consumer stall the fleet.  The policy is the
 same graceful-degradation ladder :class:`~repro.monitor.watchdog.
 RegionWatchdog` applies to regions, reused wholesale: a trip suspends
 the stream for an exponentially growing backoff
-(``backoff_intervals * backoff_factor**(trips-1)``, counted in shard
-dispatch sequences), and exhausting ``retry_budget`` trips blacklists
-it for the rest of the run.  Decisions are reported as the watchdog's
-own :class:`~repro.monitor.watchdog.WatchdogEvent` records (``rid`` is
-the stream's registration ordinal; the name travels in ``detail``), so
+(``backoff_intervals * backoff_factor**(trips-1)``, counted on a clock
+that every ``submit()`` to the stream's shard advances, accepted or
+shed, so streams suspended together still age out), and exhausting
+``retry_budget`` trips blacklists it for the rest of the run.
+Decisions are reported as the watchdog's own
+:class:`~repro.monitor.watchdog.WatchdogEvent` records (``rid`` is the
+stream's registration ordinal; the name travels in ``detail``), so
 chaos experiments and logs read one uniform degradation vocabulary.
 """
 
@@ -49,8 +51,8 @@ class StreamGovernor:
             self._records[stream] = record
         return record
 
-    def allows(self, stream: str, seq: int) -> bool:
-        """Whether *stream* may dispatch at shard sequence *seq*.
+    def allows(self, stream: str, clock: int) -> bool:
+        """Whether *stream* may dispatch at its shard's *clock*.
 
         A suspended stream is re-admitted once its backoff elapses
         (mirroring the watchdog's retry), which also emits the RETRY
@@ -63,17 +65,17 @@ class StreamGovernor:
             return False
         if record.suspended_until is None:
             return True
-        if seq < record.suspended_until:
+        if clock < record.suspended_until:
             return False
         record.suspended_until = None
         self.events.append(WatchdogEvent(
-            interval_index=seq, rid=record.ordinal,
+            interval_index=clock, rid=record.ordinal,
             action=WatchdogAction.RETRY, reason="backoff elapsed",
             detail=f"stream={stream}, trip {record.trips}/"
                    f"{self.config.retry_budget}"))
         return True
 
-    def trip(self, stream: str, seq: int,
+    def trip(self, stream: str, clock: int,
              reason: str = "slow-consumer") -> WatchdogEvent:
         """One dispatch-retry budget exhausted: suspend or blacklist."""
         record = self._record(stream)
@@ -81,7 +83,7 @@ class StreamGovernor:
         if record.trips >= self.config.retry_budget:
             record.blacklisted = True
             event = WatchdogEvent(
-                interval_index=seq, rid=record.ordinal,
+                interval_index=clock, rid=record.ordinal,
                 action=WatchdogAction.GIVE_UP, reason=reason,
                 detail=f"stream={stream}, budget exhausted after "
                        f"{record.trips} trips")
@@ -89,12 +91,12 @@ class StreamGovernor:
             backoff = int(self.config.backoff_intervals
                           * self.config.backoff_factor
                           ** (record.trips - 1))
-            record.suspended_until = seq + max(backoff, 1)
+            record.suspended_until = clock + max(backoff, 1)
             event = WatchdogEvent(
-                interval_index=seq, rid=record.ordinal,
+                interval_index=clock, rid=record.ordinal,
                 action=WatchdogAction.DEOPTIMIZE, reason=reason,
                 detail=f"stream={stream}, trip {record.trips}/"
-                       f"{self.config.retry_budget}, resume at seq "
+                       f"{self.config.retry_budget}, resume at clock "
                        f"{record.suspended_until}")
         self.events.append(event)
         return event

@@ -48,7 +48,8 @@ full input queue     bounded blocking ``put`` of the round with
 retries exhausted    :class:`~repro.serve.governor.StreamGovernor` trips
                      the stream whose ``submit()`` found the round
                      unsendable: suspension with watchdog-style
-                     backoff, then blacklist.  The round stays staged
+                     backoff, counted in the shard's submits (shed
+                     ones too), then blacklist.  The round stays staged
                      (it is journaled, so a respawn replays it anyway)
                      and goes down with a later send; later batches of
                      a tripped stream are shed at admission, counted
@@ -173,6 +174,10 @@ class _ShardState:
         self.journal = ShardJournal(shard_id)
         self.outbox = _Outbox(len(self.streams))
         self.next_seq = 0
+        #: The governor's clock: every submit() the shard received,
+        #: accepted or shed, so a suspension ages even while the shard
+        #: accepts nothing (all of its streams suspended).
+        self.submits = 0
         #: Accepted batches not yet acknowledged, staged ones included.
         self.unacked: set[int] = set()
         self.process: multiprocessing.process.BaseProcess | None = None
@@ -321,11 +326,13 @@ class FleetSupervisor:
                 f"shape {samples.shape} dtype {samples.dtype}")
         state = self._shards[shard]
         seq = state.next_seq
+        clock = state.submits
+        state.submits += 1
         crash = self._carries_crash(state, seq)
-        if not self.governor.allows(stream, seq):
+        if not self.governor.allows(stream, clock):
             return self._shed(stream)
         if state.outbox.goes_before(stream, crash) and not self._send(state):
-            self.governor.trip(stream, seq)
+            self.governor.trip(stream, clock)
             return self._shed(stream)
         stream_seq = self._stream_next[stream]
         # The journal's read-only copy is the one the round carries.
@@ -338,7 +345,7 @@ class FleetSupervisor:
                                  stream_seq=stream_seq,
                                  samples=entry.samples), crash)
         if state.outbox.complete and not self._send(state):
-            self.governor.trip(stream, seq)
+            self.governor.trip(stream, clock)
         return True
 
     def _shed(self, stream: str) -> bool:

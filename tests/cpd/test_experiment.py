@@ -8,8 +8,7 @@ import pytest
 from repro.experiments.config import BASE_PERIOD, ExperimentConfig
 from repro.experiments.extra_cpd import (SCENARIOS, ground_truth_changes,
                                          interval_histograms, run,
-                                         score_detections, truth_for_stream,
-                                         warm_targets)
+                                         score_detections, truth_for_stream)
 
 CONFIG = ExperimentConfig(scale=0.05)
 
@@ -121,9 +120,3 @@ class TestScoreboard:
         for detector in ("edivisive", "cusum"):
             assert swim[detector]["detected"] == 0
             assert swim[detector]["spurious_per_100"] == 0.0
-
-    def test_warm_targets_cover_every_scenario(self):
-        tasks = warm_targets(CONFIG)
-        assert len(tasks) == len(SCENARIOS)
-        assert {task.benchmark for task in tasks} \
-            == {name for _, name, _ in SCENARIOS}

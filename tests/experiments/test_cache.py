@@ -1,19 +1,15 @@
-"""Tests for the simulation cache and the parallel warm-up runner."""
+"""Tests for the simulation cache and the runner's flags."""
 
 import pytest
 
 from repro.experiments import cache as cache_module
-from repro.experiments import fig03_gpd_phase_changes
 from repro.experiments.base import benchmark_for, gpd_run, monitored_run
-from repro.experiments.cache import (GpdKey, SimulationCache, StreamKey,
-                                     WarmTask, cache_disabled, get_cache)
-from repro.experiments.config import GPD_PERIODS, ExperimentConfig
-from repro.experiments.runner import (collect_warm_tasks, main,
-                                      warm_cache_parallel)
-from repro.program.spec2000 import FIG3_BENCHMARKS, FIG13_BENCHMARKS
+from repro.experiments.cache import (SimulationCache, StreamKey,
+                                     cache_disabled, get_cache)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import main
 
 SMALL = ExperimentConfig(scale=0.05, seed=7)
-PAIR = ("181.mcf", "171.swim")
 
 
 @pytest.fixture(autouse=True)
@@ -61,12 +57,6 @@ class TestSimulationCache:
         assert len(calls) == 2
         assert cache.stats().streams == 0
 
-    def test_put_then_hit(self):
-        cache = SimulationCache()
-        key = GpdKey("x", 1.0, 1, 7, 256)
-        cache.put_detector(key, "injected")
-        assert cache.detector(key, lambda: "computed") == "injected"
-
     def test_clear_resets_everything(self):
         cache = SimulationCache()
         cache.stream(StreamKey("x", 1.0, 1, 7), lambda: "v")
@@ -100,54 +90,7 @@ class TestCachedHelpers:
         assert get_cache().stats().streams == 1
 
 
-class TestWarmTaskCollection:
-    def test_fig03_fig04_share_their_tasks(self):
-        tasks = collect_warm_tasks(["fig03", "fig04"], SMALL)
-        assert len(tasks) == len(set(tasks))
-        assert len(tasks) == len(FIG3_BENCHMARKS) * len(GPD_PERIODS)
-        assert all(task.kind == "gpd" for task in tasks)
-
-    def test_fig13_fig14_share_their_tasks(self):
-        tasks = collect_warm_tasks(["fig13", "fig14"], SMALL)
-        assert len(tasks) == len(FIG13_BENCHMARKS) * len(GPD_PERIODS)
-        assert all(task.kind == "monitor" for task in tasks)
-
-    def test_figures_without_warm_targets(self):
-        assert collect_warm_tasks(["fig08"], SMALL) == []
-
-
-class TestParallelWarm:
-    def test_seeds_cache_with_worker_results(self):
-        tasks = [WarmTask("gpd", name, 45_000) for name in PAIR]
-        assert warm_cache_parallel(tasks, SMALL, jobs=2) == 2
-        stats = get_cache().stats()
-        assert stats.streams == 2 and stats.detectors == 2
-        # The figure phase is now pure lookups.
-        for name in PAIR:
-            gpd_run(benchmark_for(name, SMALL), 45_000, SMALL)
-        after = get_cache().stats()
-        assert after.misses == 0 and after.hits >= 2
-
-    def test_parallel_rows_match_serial(self):
-        tasks = [task for task in collect_warm_tasks(["fig03"], SMALL)
-                 if task.benchmark in PAIR]
-        warm_cache_parallel(tasks, SMALL, jobs=2)
-        parallel_rows = fig03_gpd_phase_changes.run(
-            SMALL, benchmarks=PAIR).rows
-        with cache_disabled():
-            serial_rows = fig03_gpd_phase_changes.run(
-                SMALL, benchmarks=PAIR).rows
-        assert parallel_rows == serial_rows
-
-    def test_empty_task_list(self):
-        assert warm_cache_parallel([], SMALL, jobs=4) == 0
-
-
 class TestRunnerFlags:
-    def test_jobs_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig08", "--jobs", "0"])
-
     def test_no_cache_run(self, capsys):
         try:
             assert main(["fig08", "--no-cache"]) == 0
@@ -156,10 +99,6 @@ class TestRunnerFlags:
         out = capsys.readouterr().out
         assert "Pearson" in out
         assert "cache:" not in out
-
-    def test_jobs_smoke(self, capsys):
-        assert main(["fig08", "--scale", "0.05", "--jobs", "2"]) == 0
-        assert "cache:" in capsys.readouterr().out
 
     def test_profile_prints_table(self, capsys):
         assert main(["fig08", "--scale", "0.05", "--profile"]) == 0

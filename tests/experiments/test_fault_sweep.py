@@ -7,10 +7,9 @@ import pytest
 from repro.experiments import extra_fault_sweep
 from repro.experiments.base import (benchmark_for, gpd_run, monitored_run,
                                     stream_for)
-from repro.experiments.cache import WarmTask, get_cache
+from repro.experiments.cache import get_cache
 from repro.experiments.config import BASE_PERIOD, ExperimentConfig
-from repro.experiments.runner import (collect_warm_tasks, main,
-                                      warm_cache_parallel)
+from repro.experiments.runner import main
 from repro.faults import FaultPlan, SampleDrop
 
 SMALL = ExperimentConfig(scale=0.05, seed=7)
@@ -61,36 +60,6 @@ class TestFaultedCacheKeys:
         second = stream_for(model, BASE_PERIOD, SMALL, plan=DROP20)
         assert np.array_equal(first.pcs, second.pcs)
         assert np.array_equal(first.cycles, second.cycles)
-
-
-class TestWarmPhaseWithFaults:
-    def test_warm_tasks_carry_plan_tokens(self):
-        tasks = collect_warm_tasks(["faultsweep"], SMALL)
-        tokens = {task.faults for task in tasks}
-        assert () in tokens          # the clean anchor runs
-        assert len(tokens) == len(extra_fault_sweep.PLANS)
-
-    def test_parallel_warm_matches_serial(self):
-        tasks = [task for task in collect_warm_tasks(["faultsweep"], SMALL)
-                 if task.benchmark in PAIR]
-        warm_cache_parallel(tasks, SMALL, jobs=2)
-        warmed_rows = extra_fault_sweep.run(SMALL, benchmarks=PAIR).rows
-        hits_only = get_cache().stats()
-        assert hits_only.misses == 0
-        from repro.experiments.cache import cache_disabled
-
-        with cache_disabled():
-            serial_rows = extra_fault_sweep.run(SMALL,
-                                                benchmarks=PAIR).rows
-        assert warmed_rows == serial_rows
-
-    def test_worker_seeds_faulted_and_ideal_streams(self):
-        token = DROP20.token()
-        tasks = [WarmTask("monitor", "181.mcf", BASE_PERIOD, faults=token)]
-        warm_cache_parallel(tasks, SMALL, jobs=1)
-        stats = get_cache().stats()
-        assert stats.streams == 2  # ideal + faulted
-        assert stats.monitors == 1
 
 
 class TestFaultSweepExperiment:

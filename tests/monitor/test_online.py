@@ -1,8 +1,11 @@
 """Tests for the online phase-detection session."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.batch import BatchSession
 from repro.core import GlobalPhaseDetector, MonitorThresholds
 from repro.monitor import RegionMonitor
 from repro.monitor.online import OnlineSession
@@ -72,6 +75,24 @@ class TestEquivalenceWithBatch:
         assert session.gpd.state is standalone.state
 
 
+class TestReportList:
+    def test_reports_are_the_monitors_list(self):
+        binary, stream = build_setup()
+        half = stream.pcs.size // 2
+        online = OnlineSession(binary, thresholds())
+        batch = BatchSession(binary, thresholds())
+        batch.add_lane()
+        for step, pcs in enumerate((stream.pcs[:half], stream.pcs[half:])):
+            if step:
+                online, batch = pickle.loads(pickle.dumps((online, batch)))
+            online.feed_many(pcs)
+            batch.lanes[0].feed_many(pcs)
+            batch.process_ready()
+            for session in (online, batch.lanes[0]):
+                assert session.reports is session.monitor.reports
+                assert len(session.reports) == session.stats.intervals > 0
+
+
 class TestCallbacks:
     def test_global_and_local_callbacks_fire(self):
         binary, stream = build_setup()
@@ -102,6 +123,7 @@ class TestConfiguration:
         session.feed_stream(stream)
         assert session.monitor is None
         assert session.stats.intervals > 0
+        assert session.reports == []
         assert "monitored_regions" not in session.summary()
 
     def test_nothing_enabled_rejected(self):

@@ -74,17 +74,21 @@ class TestSpecValidation:
 
 
 class TestPlanTokens:
-    def test_roundtrip(self):
-        plan = FaultPlan((SampleDrop(rate=0.2, burst_mean=4.0),
-                          PcSkid(distribution="gaussian", scale=2.0),
-                          InterruptStall(rate=0.01, max_window=5)))
-        assert FaultPlan.from_token(plan.token()) == plan
-
-    def test_malformed_token(self):
-        with pytest.raises(FaultError):
-            FaultPlan.from_token((("no-such-kind", ("rate", 0.1)),))
-        with pytest.raises(FaultError):
-            FaultPlan.from_token((("drop", ("bogus_field", 0.1)),))
+    def test_token_separates_fields_and_order(self):
+        drop = SampleDrop(rate=0.2, burst_mean=4.0)
+        skid = PcSkid(distribution="gaussian", scale=2.0)
+        stall = InterruptStall(rate=0.01, max_window=5)
+        plan = FaultPlan((drop, skid, stall))
+        assert plan.token() == FaultPlan((drop, skid, stall)).token()
+        variants = [
+            FaultPlan((SampleDrop(rate=0.2, burst_mean=5.0), skid, stall)),
+            FaultPlan((drop, PcSkid(distribution="exponential", scale=2.0),
+                       stall)),
+            FaultPlan((drop, skid, InterruptStall(rate=0.01, max_window=6))),
+            FaultPlan((skid, drop, stall)),
+        ]
+        tokens = {plan.token()} | {variant.token() for variant in variants}
+        assert len(tokens) == 1 + len(variants)
 
     def test_describe(self):
         assert FaultPlan(()).describe() == "none"

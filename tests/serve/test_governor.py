@@ -1,7 +1,10 @@
 """Stream governor: suspension backoff, re-admission, blacklisting."""
 
+from repro.faults.service import QueueStall, ServiceFaultPlan
 from repro.monitor.watchdog import WatchdogAction, WatchdogConfig
+from repro.serve import FleetSupervisor, reference_events
 from repro.serve.governor import StreamGovernor
+from tests.conformance.scenarios import Lane, Scenario
 
 
 def make_governor(retry_budget=3, backoff_intervals=4, backoff_factor=2.0):
@@ -90,8 +93,9 @@ def test_minimal_backoff_still_suspends_one_sequence():
 
 
 def test_suspension_boundary_uses_trip_sequence_not_wall_clock():
-    # suspended_until is trip seq + backoff in *shard dispatch
-    # sequences*; re-admission at exactly the boundary is inclusive.
+    # suspended_until is the trip's clock + backoff, counted in the
+    # *submits its shard receives*; re-admission at exactly the
+    # boundary is inclusive.
     governor = make_governor(backoff_intervals=8, backoff_factor=2.0)
     governor.trip("s0", 100)
     assert not governor.allows("s0", 107)
@@ -113,3 +117,53 @@ def test_summary_counts_each_outcome():
         "readmissions": 1,
         "blacklisted": 1,
     }
+
+
+#: Two streams on one shard, forty one-interval batches each.
+STALLED = Scenario("stalled-shard", (Lane(seed=7, limit=40 * 504),
+                                     Lane(seed=8, limit=40 * 504)),
+                   chunk=504)
+
+
+def test_a_fully_suspended_shard_readmits_its_streams(tmp_path):
+    # The worker stalls on the first round while the second fills the
+    # one-round queue, so the third round cannot go down: lane1, whose
+    # batch completed it, trips, and a tick later so does lane0, whose
+    # batch must follow that round.  With both streams suspended the
+    # shard accepts nothing, so only the shed submits can age their
+    # backoff.  The drain waits out the stall and delivers the staged
+    # round; from then on both streams must be readmitted and accepted.
+    batches = STALLED.batches()
+    config = STALLED.serve_config(n_shards=1, queue_capacity=1,
+                                  dispatch_timeout=0.3, dispatch_retries=1)
+    fleet = FleetSupervisor(
+        config, list(batches), str(tmp_path),
+        faults=ServiceFaultPlan((QueueStall(shard=0, at_seq=0,
+                                            stall_seconds=2.0),)))
+    accepted = dict.fromkeys(batches, 0)
+    try:
+        fleet.start()
+        for tick in range(40):
+            for stream, chunks in batches.items():
+                if fleet.submit(stream, chunks[accepted[stream]]):
+                    accepted[stream] += 1
+            if tick == 9:
+                fleet.drain(timeout=60.0)
+                after_stall = dict(accepted)
+        fleet.drain(timeout=60.0)
+        events = {stream: fleet.stream_events(stream) for stream in batches}
+        summary = fleet.summary()
+    finally:
+        exit_codes = fleet.shutdown(graceful=True)
+    assert exit_codes == {0: 0}
+    for stream in batches:
+        actions = [event.action for event in fleet.governor_events()
+                   if event.detail.startswith(f"stream={stream},")]
+        assert WatchdogAction.DEOPTIMIZE in actions
+        assert WatchdogAction.RETRY in actions
+        assert WatchdogAction.GIVE_UP not in actions
+        assert accepted[stream] > after_stall[stream]
+    assert summary["divergences"] == 0
+    assert events == reference_events(
+        config, {stream: chunks[:accepted[stream]]
+                 for stream, chunks in batches.items()})

@@ -78,11 +78,11 @@ def test_graceful_shutdown_flushes_staged_batches(tmp_path, batches):
 def test_unsendable_round_trips_the_submitting_stream(tmp_path, batches):
     # The worker stalls on the first round while the second fills the
     # one-round queue, so the third, completed by lane5's batch, cannot
-    # be enqueued: lane5's governor trips at seq 17 (resume at 17 + 8),
-    # the round stays staged, and lane5 is shed at admission until the
-    # shard's seq reaches 25.  Draining delivers the staged round and
-    # trips nothing.  The second round's put waits up to a second for
-    # the worker to take the first.
+    # be enqueued: lane5's governor trips at the shard's 18th submit,
+    # clock 17 (resume at 17 + 8), the round stays staged, and lane5 is
+    # shed at admission until the clock reaches 25.  Draining delivers
+    # the staged round and trips nothing.  The second round's put waits
+    # up to a second for the worker to take the first.
     fleet = make_fleet(
         batches, tmp_path, queue_capacity=1, dispatch_timeout=1.0,
         dispatch_retries=1,
@@ -114,7 +114,7 @@ def test_unsendable_round_trips_the_submitting_stream(tmp_path, batches):
         fleet.drain(timeout=60.0)
         assert round_batches(fleet).n == 3
         assert len(decisions()) == 1
-        for _ in range(4):  # lane5 is shed at seq 23, readmitted at 28
+        for _ in range(4):  # lane5 is shed at clock 24, readmitted at 30
             tick()
         assert accepted == dict.fromkeys(batches, TICKS)
         fleet.drain(timeout=60.0)
@@ -125,7 +125,7 @@ def test_unsendable_round_trips_the_submitting_stream(tmp_path, batches):
     assert exit_codes == {0: 0}
     assert decisions() == [
         (WatchdogAction.DEOPTIMIZE, 17, "stream=lane5"),
-        (WatchdogAction.RETRY, 28, "stream=lane5")]
+        (WatchdogAction.RETRY, 30, "stream=lane5")]
     assert summary["submitted"] == 6 * TICKS and summary["evicted"] == 2
     assert round_batches(fleet).total == 6 * TICKS  # each sent once
     assert summary["divergences"] == 0
